@@ -152,7 +152,7 @@ func main() {
 			}
 		}
 		if sv := a.Serving; sv != nil {
-			fmt.Printf("  serving:         %d clients (window %d): %12.0f pps coalesced (%.2fx of direct batch), fill %.1f/%d, %d mismatches\n",
+			fmt.Printf("  serving:         %d clients (window %d): %12.0f pps served (%.2fx of direct batch), fill %.1f/%d, %d mismatches\n",
 				sv.Clients, sv.Window, sv.CoalescedPPS, sv.CoalescedVsDirect, sv.AvgBatchFill, sv.BatchSize, sv.Mismatches)
 			fmt.Printf("    e2e latency    p50 %6.0f µs  p99 %6.0f µs\n", sv.E2EP50US, sv.E2EP99US)
 		}

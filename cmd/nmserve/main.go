@@ -1,8 +1,9 @@
 // Command nmserve is the network-facing serving daemon: it loads a
-// persisted table or cluster and serves classification over TCP with
-// batch-coalescing ingress, plus an HTTP admin plane (/healthz, /readyz,
-// /metrics, /reload). SIGHUP hot-reloads the artifact from disk; SIGINT or
-// SIGTERM drains in-flight requests, optionally persists, and exits.
+// persisted table or cluster and serves classification over TCP, batching
+// each connection's pipelined requests inline, plus an HTTP admin plane
+// (/healthz, /readyz, /metrics, /reload). SIGHUP hot-reloads the artifact
+// from disk; SIGINT or SIGTERM drains in-flight requests, optionally
+// persists, and exits.
 //
 //	nmserve -load table.nm                     # serve a single table
 //	nmserve -load cluster.d -persist           # serve a cluster, save on exit
@@ -43,16 +44,14 @@ func main() {
 func cmdServe(args []string) {
 	fs := newFlagSet("nmserve")
 	var (
-		load     = fs.String("load", "", "table artifact or cluster directory from `nmctl build` (required)")
-		listen   = fs.String("listen", "127.0.0.1:9090", "data-plane TCP listen address")
-		admin    = fs.String("admin", "127.0.0.1:9091", "HTTP admin listen address (empty disables)")
-		batch    = fs.Int("batch", 128, "max requests per coalesced inference batch")
-		maxdelay = fs.Duration("maxdelay", 50*time.Microsecond, "max wait to top up a partial batch")
-		queue    = fs.Int("queue", 4096, "ingress queue depth")
-		persist  = fs.Bool("persist", false, "save the artifact back to -load on autopilot retrains and at shutdown")
-		maxUpd   = fs.Int("retrain-updates", 0, "autopilot: retrain after this many updates (0 = policy default)")
-		maxFrac  = fs.Float64("retrain-remfrac", 0, "autopilot: retrain when the remainder fraction exceeds this (0 = policy default)")
-		kernel   = fs.String("kernel", "auto", "rqrmi inference kernel: auto | go | asm")
+		load    = fs.String("load", "", "table artifact or cluster directory from `nmctl build` (required)")
+		listen  = fs.String("listen", "127.0.0.1:9090", "data-plane TCP listen address")
+		admin   = fs.String("admin", "127.0.0.1:9091", "HTTP admin listen address (empty disables)")
+		batch   = fs.Int("batch", 128, "max pipelined requests of one connection per inference batch")
+		persist = fs.Bool("persist", false, "save the artifact back to -load on autopilot retrains and at shutdown")
+		maxUpd  = fs.Int("retrain-updates", 0, "autopilot: retrain after this many updates (0 = policy default)")
+		maxFrac = fs.Float64("retrain-remfrac", 0, "autopilot: retrain when the remainder fraction exceeds this (0 = policy default)")
+		kernel  = fs.String("kernel", "auto", "rqrmi inference kernel: auto | go | asm")
 	)
 	fs.Parse(args)
 	if *load == "" {
@@ -72,18 +71,15 @@ func cmdServe(args []string) {
 	fmt.Printf("loaded %s (%d fields)\n", *load, backend.NumFields())
 
 	srv := serve.New(backend, serve.Config{
-		Listen:     *listen,
-		Admin:      *admin,
-		BatchSize:  *batch,
-		MaxDelay:   *maxdelay,
-		QueueDepth: *queue,
-		Reload:     loader,
+		Listen:    *listen,
+		Admin:     *admin,
+		BatchSize: *batch,
+		Reload:    loader,
 	})
 	if err := srv.Start(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("serving on %s (admin %s), batch %d, maxdelay %v\n",
-		srv.Addr(), *admin, *batch, *maxdelay)
+	fmt.Printf("serving on %s (admin %s), batch %d\n", srv.Addr(), *admin, *batch)
 
 	// SIGHUP: hot reload from the same path — the RCU swap never stalls
 	// in-flight batches.

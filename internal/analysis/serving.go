@@ -16,29 +16,29 @@ import (
 )
 
 // ServingReport measures the network serving tier over the artifact's
-// profile: the same engine reached through nmserve's coalescing ingress
-// versus called directly, so the section answers "what does the wire cost,
-// and does coalescing recover batch throughput for independent clients?".
+// profile: the same engine reached through nmserve's per-connection inline
+// batching versus called directly, so the section answers "what does the
+// wire cost, and how much batch throughput does a client's pipelined window
+// recover?".
 type ServingReport struct {
-	Clients   int     `json:"clients"`
-	Window    int     `json:"window"`
-	BatchSize int     `json:"batch_size"`
-	MaxDelayU float64 `json:"max_delay_us"`
+	Clients   int `json:"clients"`
+	Window    int `json:"window"`
+	BatchSize int `json:"batch_size"`
 
 	// Requests streamed and how many responses disagreed with the direct
 	// engine answer (must be zero).
 	Requests   int `json:"requests"`
 	Mismatches int `json:"mismatches"`
 
-	// CoalescedPPS is end-to-end serving throughput (TCP + coalescing +
-	// batch inference); DirectBatchPPS is the same engine's in-process
+	// CoalescedPPS is end-to-end serving throughput (TCP + per-connection
+	// batching + batch inference); DirectBatchPPS is the same engine's in-process
 	// LookupBatch throughput. Their ratio is the serving tier's efficiency.
 	CoalescedPPS      float64 `json:"coalesced_pps"`
 	DirectBatchPPS    float64 `json:"direct_batch_pps"`
 	CoalescedVsDirect float64 `json:"coalesced_vs_direct"`
 
-	// AvgBatchFill is how many requests the dispatcher actually packed per
-	// inference batch; FillRatio normalizes by the batch size.
+	// AvgBatchFill is how many requests the connection readers actually
+	// packed per inference batch; FillRatio normalizes by the batch size.
 	AvgBatchFill float64 `json:"avg_batch_fill"`
 	FillRatio    float64 `json:"fill_ratio"`
 
@@ -60,9 +60,8 @@ func (a *BenchArtifact) AttachServing(clients int, seed int64) error {
 		return nil
 	}
 	const (
-		window   = 64
-		batch    = BatchSize
-		maxDelay = 50 * time.Microsecond
+		window = 64
+		batch  = BatchSize
 	)
 	prof, err := classbench.ProfileByName(a.Profile)
 	if err != nil {
@@ -91,7 +90,6 @@ func (a *BenchArtifact) AttachServing(clients int, seed int64) error {
 	srv := serve.New(engineBackend{e}, serve.Config{
 		Listen:    "127.0.0.1:0",
 		BatchSize: batch,
-		MaxDelay:  maxDelay,
 	})
 	if err := srv.Start(); err != nil {
 		return err
@@ -106,7 +104,6 @@ func (a *BenchArtifact) AttachServing(clients int, seed int64) error {
 		Clients:   clients,
 		Window:    window,
 		BatchSize: batch,
-		MaxDelayU: float64(maxDelay) / float64(time.Microsecond),
 		Requests:  len(tr.Packets),
 	}
 

@@ -127,7 +127,7 @@ func TestServeE2EConformance(t *testing.T) {
 	}
 	defer cluster.Close()
 
-	s := startServer(t, cluster, serve.Config{BatchSize: 128, MaxDelay: 200 * time.Microsecond})
+	s := startServer(t, cluster, serve.Config{BatchSize: 128})
 
 	if code, body := adminGet(t, s, "/readyz"); code != 200 || !strings.Contains(body, "ready") {
 		t.Fatalf("/readyz before load = %d %q", code, body)
@@ -160,7 +160,7 @@ func TestServeE2EConformance(t *testing.T) {
 		t.Fatalf("%d mismatches over %d streamed packets", total, clients*perClient)
 	}
 
-	snap := s.MetricsSnapshot()
+	snap := settledSnapshot(s, clients*perClient)
 	if snap.ResponsesTotal != clients*perClient {
 		t.Fatalf("responses %d, want %d", snap.ResponsesTotal, clients*perClient)
 	}
@@ -203,7 +203,7 @@ func TestServeDegradedUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := startServer(t, table, serve.Config{BatchSize: 64, MaxDelay: 100 * time.Microsecond})
+	s := startServer(t, table, serve.Config{BatchSize: 64})
 
 	burst := func(stage string) {
 		t.Helper()

@@ -4,45 +4,47 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+	"time"
 
 	"nuevomatch/internal/core"
 )
 
-// latencyBounds are the coalesce-latency histogram bucket upper bounds in
-// microseconds: the interesting band runs from "well under one coalescing
-// deadline" to "something is badly stalled".
-var latencyBounds = [...]float64{10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 100000}
+// latencyBounds are the serve-latency histogram bucket upper bounds in
+// microseconds: the interesting band runs from "one singleton batch" to
+// "something is badly stalled".
+var latencyBounds = [...]float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 100000}
 
 // Metrics is the serving tier's hand-rolled metric set. All fields are
 // plain atomics — no dependencies — and are exported as Prometheus text
 // format by WritePrometheus. Counters only ever increase; gauges are
-// snapshots.
+// snapshots. Readers update them once per wake-up (Add(n)), not per request.
 type Metrics struct {
 	ConnectionsTotal atomic.Uint64 // accepted connections, lifetime
 	ActiveConns      atomic.Int64  // currently open connections
 	RequestsTotal    atomic.Uint64 // request frames decoded
 	ResponsesTotal   atomic.Uint64 // response frames written
 	ReadErrors       atomic.Uint64 // reader-loop failures (excl. clean EOF)
-	WriteErrors      atomic.Uint64 // response write/flush failures
-	BatchesTotal     atomic.Uint64 // LookupBatch calls issued
-	BatchFillSum     atomic.Uint64 // sum of batch sizes; fill = sum/batches
-	Inflight         atomic.Int64  // requests enqueued but not yet answered
+	WriteErrors      atomic.Uint64 // responses dropped because their connection's write failed
+	BatchesTotal     atomic.Uint64 // LookupBatch calls issued; fill = requests/batches
 	Reloads          atomic.Uint64 // successful backend swaps
 	ReloadFailures   atomic.Uint64 // rejected/failed reload attempts
 
-	// Coalesce latency histogram: enqueue→response-written, microseconds.
+	// Serve latency histogram: from a wake-up's first frame read to its
+	// responses written, counted once per request it answered.
 	latCount   atomic.Uint64
-	latSumUS   atomic.Uint64
+	latSumNS   atomic.Uint64
 	latBuckets [len(latencyBounds)]atomic.Uint64
 }
 
-// observeLatency records one end-to-end request latency in microseconds.
-func (m *Metrics) observeLatency(us float64) {
-	m.latCount.Add(1)
-	m.latSumUS.Add(uint64(us))
+// observeLatency records that n requests were each answered d after they
+// were read.
+func (m *Metrics) observeLatency(d time.Duration, n uint64) {
+	m.latCount.Add(n)
+	m.latSumNS.Add(uint64(d) * n)
+	us := float64(d) / float64(time.Microsecond)
 	for i, b := range latencyBounds {
 		if us <= b {
-			m.latBuckets[i].Add(1)
+			m.latBuckets[i].Add(n)
 			break
 		}
 	}
@@ -99,17 +101,25 @@ func (m *Metrics) quantile(q float64) float64 {
 	return latencyBounds[len(latencyBounds)-1]
 }
 
+// inflight is the number of requests read but neither answered nor dropped.
+// The answered side is loaded first so a concurrent reader can only make the
+// gauge read high, never negative.
+func (m *Metrics) inflight() int64 {
+	done := m.ResponsesTotal.Load() + m.WriteErrors.Load()
+	return int64(m.RequestsTotal.Load() - done)
+}
+
 func (m *Metrics) snapshot() MetricsSnapshot {
 	s := MetricsSnapshot{
 		ConnectionsTotal: m.ConnectionsTotal.Load(),
 		ActiveConns:      m.ActiveConns.Load(),
+		Inflight:         m.inflight(),
 		RequestsTotal:    m.RequestsTotal.Load(),
 		ResponsesTotal:   m.ResponsesTotal.Load(),
 		ReadErrors:       m.ReadErrors.Load(),
 		WriteErrors:      m.WriteErrors.Load(),
 		BatchesTotal:     m.BatchesTotal.Load(),
-		BatchFillSum:     m.BatchFillSum.Load(),
-		Inflight:         m.Inflight.Load(),
+		BatchFillSum:     m.RequestsTotal.Load(), // every request read rides exactly one batch
 		Reloads:          m.Reloads.Load(),
 		ReloadFailures:   m.ReloadFailures.Load(),
 		LatencyCount:     m.latCount.Load(),
@@ -117,7 +127,7 @@ func (m *Metrics) snapshot() MetricsSnapshot {
 		LatencyP99US:     m.quantile(0.99),
 	}
 	if s.LatencyCount > 0 {
-		s.LatencyMeanUS = float64(m.latSumUS.Load()) / float64(s.LatencyCount)
+		s.LatencyMeanUS = float64(m.latSumNS.Load()) / 1e3 / float64(s.LatencyCount)
 	}
 	return s
 }
@@ -154,28 +164,27 @@ func (s *Server) writePrometheus(w io.Writer) {
 	counter("nmserve_requests_total", "Classification requests received.", m.RequestsTotal.Load())
 	counter("nmserve_responses_total", "Classification responses written.", m.ResponsesTotal.Load())
 	counter("nmserve_read_errors_total", "Connection read failures.", m.ReadErrors.Load())
-	counter("nmserve_write_errors_total", "Response write failures.", m.WriteErrors.Load())
-	counter("nmserve_batches_total", "Coalesced inference batches issued.", m.BatchesTotal.Load())
-	counter("nmserve_batch_fill_sum", "Sum of requests across issued batches.", m.BatchFillSum.Load())
-	gauge("nmserve_inflight_requests", "Requests enqueued but not yet answered.", m.Inflight.Load())
-	gauge("nmserve_queue_depth", "Requests sitting in the ingress queue.", int64(len(s.reqCh)))
+	counter("nmserve_write_errors_total", "Responses dropped by a failed connection write.", m.WriteErrors.Load())
+	counter("nmserve_batches_total", "Inference batches issued.", m.BatchesTotal.Load())
+	counter("nmserve_batch_fill_sum", "Sum of requests across issued batches.", m.RequestsTotal.Load())
+	gauge("nmserve_inflight_requests", "Requests read but not yet answered.", m.inflight())
 	counter("nmserve_reloads_total", "Successful backend hot reloads.", m.Reloads.Load())
 	counter("nmserve_reload_failures_total", "Failed or rejected reload attempts.", m.ReloadFailures.Load())
 
 	if b := m.BatchesTotal.Load(); b > 0 {
 		p("# HELP nmserve_batch_fill_ratio Mean batch fill over the configured batch size.\n# TYPE nmserve_batch_fill_ratio gauge\nnmserve_batch_fill_ratio %g\n",
-			float64(m.BatchFillSum.Load())/float64(b)/float64(s.cfg.BatchSize))
+			float64(m.RequestsTotal.Load())/float64(b)/float64(s.cfg.BatchSize))
 	}
 
 	// Latency histogram, Prometheus-cumulative, in seconds.
-	p("# HELP nmserve_request_duration_seconds Enqueue-to-response latency.\n# TYPE nmserve_request_duration_seconds histogram\n")
+	p("# HELP nmserve_request_duration_seconds Frame-read-to-response-written latency.\n# TYPE nmserve_request_duration_seconds histogram\n")
 	var cum uint64
 	for i, b := range latencyBounds {
 		cum += m.latBuckets[i].Load()
 		p("nmserve_request_duration_seconds_bucket{le=\"%g\"} %d\n", b/1e6, cum)
 	}
 	p("nmserve_request_duration_seconds_bucket{le=\"+Inf\"} %d\n", m.latCount.Load())
-	p("nmserve_request_duration_seconds_sum %g\n", float64(m.latSumUS.Load())/1e6)
+	p("nmserve_request_duration_seconds_sum %g\n", float64(m.latSumNS.Load())/1e9)
 	p("nmserve_request_duration_seconds_count %d\n", m.latCount.Load())
 
 	// Health over the wire: numeric state plus one labelled count per

@@ -1,17 +1,17 @@
 // Package serve is the network-facing serving tier: a long-lived TCP
-// classification service whose ingress coalesces requests arriving on many
-// connections into the engine's native 128-wide inference batches, plus an
-// HTTP admin plane (/healthz, /readyz, /metrics, /reload).
+// classification service that answers each connection's pipelined requests
+// in the engine's native wide batches, plus an HTTP admin plane (/healthz,
+// /readyz, /metrics, /reload).
 //
 // The data-plane protocol is deliberately minimal — fixed-size binary
-// frames after an 8-byte handshake — because the interesting machinery is
-// behind it: per-connection readers push classify requests into a bounded
-// MPSC queue, a single dispatcher drains the queue into batches (flushing
-// on batch size or a ~50µs coalescing deadline), runs one LookupBatch per
-// batch against a per-batch pinned backend handle, and fans the results
-// back to the waiting connections with one write-flush per touched
-// connection. A million trickling clients therefore get batched inference
-// throughput, not scalar; see docs/SERVING.md for the full design.
+// frames after an 8-byte handshake — and so is the machinery behind it:
+// each connection's reader goroutine blocks for a frame, takes every
+// complete frame the same socket read delivered (up to the batch size) as
+// one batch, runs LookupBatch against a per-batch pinned backend handle,
+// and writes all the responses in one call before it blocks again. A lone
+// request is answered as soon as it is read, a pipelining client gets
+// batched inference from its own window, and connections share nothing but
+// the metrics. See docs/SERVING.md for the full design.
 package serve
 
 import (
@@ -43,10 +43,27 @@ const (
 )
 
 // reqFrameLen is the fixed request frame size for nf-field packets.
+//
+//nm:hotpath
 func reqFrameLen(nf int) int { return 4 + 4*nf }
 
 // respFrameLen is the fixed response frame size.
 const respFrameLen = 8
+
+// le32 and putLE32 are the frame codec's little-endian word accessors,
+// spelled out because encoding/binary is outside the hot-path allowlist.
+//
+//nm:hotpath
+func le32(b []byte) uint32 {
+	_ = b[3]
+	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+}
+
+//nm:hotpath
+func putLE32(b []byte, v uint32) {
+	_ = b[3]
+	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+}
 
 // writeHandshake emits the server hello.
 func writeHandshake(w io.Writer, numFields int) error {

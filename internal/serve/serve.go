@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -25,7 +24,7 @@ type Backend interface {
 	// NumFields is the packet dimensionality; fixed for a backend's life.
 	NumFields() int
 	// LookupBatch classifies pkts[i] into out[i] (rule ID or rules.NoMatch).
-	// It is the dispatcher's per-batch hot call: implementations serve it
+	// It is every connection's per-batch hot call: implementations serve it
 	// from an RCU snapshot without locks or allocation.
 	//
 	//nm:hotpath
@@ -42,14 +41,10 @@ type Config struct {
 	// Admin is the HTTP admin address for /healthz, /readyz, /metrics and
 	// /reload. Empty disables the admin plane.
 	Admin string
-	// BatchSize caps how many requests one inference batch carries.
-	// Default 128 — the engine's native wide-batch size.
+	// BatchSize caps how many of a connection's pipelined requests one
+	// inference batch carries. Default 128 — the engine's native
+	// wide-batch size.
 	BatchSize int
-	// MaxDelay bounds how long the dispatcher waits to top up a partial
-	// batch before flushing it. Default 50µs.
-	MaxDelay time.Duration
-	// QueueDepth bounds the ingress MPSC queue. Default 4096.
-	QueueDepth int
 	// Reload, when set, produces a fresh Backend for hot table reloads
 	// (admin POST /reload, or SIGHUP in cmd/nmserve). The new backend must
 	// have the same NumFields; the old one is Closed after the swap.
@@ -60,83 +55,32 @@ func (c *Config) fill() {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 128
 	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 50 * time.Microsecond
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4096
-	}
 }
+
+const (
+	// connBufSize is each connection's read buffer. One socket read fills
+	// it, and whatever complete frames it then holds are that wake-up's
+	// work, so it also bounds the responses one write carries.
+	connBufSize = 16 << 10
+	// drainWriteGrace is how long Shutdown lets a reader finish writing the
+	// responses it owes before its socket's write deadline fires. A healthy
+	// client's write completes in microseconds; only a client that stopped
+	// reading its socket ever waits this long.
+	drainWriteGrace = time.Second
+)
 
 // backendBox wraps the Backend interface in a concrete type so it can live
 // in an atomic.Pointer.
 type backendBox struct{ b Backend }
 
-// request is one in-flight classification, pooled to keep the steady-state
-// ingress allocation-free.
-type request struct {
-	c   *conn
-	seq uint32
-	pkt rules.Packet
-	enq time.Time
-}
-
-// conn is one accepted data-plane connection.
-type conn struct {
-	nc net.Conn
-	// wmu serializes response writes; the dispatcher and (rarely) an error
-	// path both write.
-	wmu sync.Mutex
-	bw  *bufio.Writer
-	// dead marks a connection whose writer failed; further responses to it
-	// are dropped rather than written.
-	dead atomic.Bool
-	// touch is dispatcher-private: the batch sequence number that last
-	// queued a response to this conn, used to flush each touched conn once
-	// per batch without a set allocation.
-	touch uint64
-}
-
-// writeResult appends one response frame to the connection's buffer.
-func (c *conn) writeResult(seq uint32, id int) error {
-	if c.dead.Load() {
-		return net.ErrClosed
-	}
-	var b [respFrameLen]byte
-	binary.LittleEndian.PutUint32(b[0:4], seq)
-	binary.LittleEndian.PutUint32(b[4:8], uint32(int32(id)))
-	c.wmu.Lock()
-	_, err := c.bw.Write(b[:])
-	c.wmu.Unlock()
-	if err != nil {
-		c.dead.Store(true)
-	}
-	return err
-}
-
-func (c *conn) flush() error {
-	if c.dead.Load() {
-		return net.ErrClosed
-	}
-	c.wmu.Lock()
-	err := c.bw.Flush()
-	c.wmu.Unlock()
-	if err != nil {
-		c.dead.Store(true)
-	}
-	return err
-}
-
-// Server is the batch-coalescing classification service. Create with New,
-// then Start; Shutdown drains in-flight work before returning.
+// Server is the classification service: every connection's reader goroutine
+// classifies that connection's own pipelined requests inline. Create with
+// New, then Start; Shutdown drains in-flight work before returning.
 type Server struct {
 	cfg       Config
 	backend   atomic.Pointer[backendBox]
 	numFields int
 	metrics   Metrics
-
-	reqCh chan *request
-	pool  sync.Pool
 
 	ln       net.Listener
 	admin    *http.Server
@@ -145,11 +89,14 @@ type Server struct {
 	draining atomic.Bool
 	started  bool
 
+	// connMu guards conns and orders registration against Shutdown's kick:
+	// a connection is either registered before the kick and gets its
+	// deadlines set, or sees draining under the lock and is refused.
 	connMu sync.Mutex
-	conns  map[*conn]struct{}
+	conns  map[net.Conn]struct{}
 
+	// connWG tracks the acceptor and every connection reader.
 	connWG sync.WaitGroup
-	dispWG sync.WaitGroup
 
 	// reloadMu serializes Reload calls so concurrent swaps cannot close a
 	// backend that another reload just installed.
@@ -162,14 +109,10 @@ func New(b Backend, cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		numFields: b.NumFields(),
-		reqCh:     make(chan *request, cfg.QueueDepth),
 		quit:      make(chan struct{}),
-		conns:     make(map[*conn]struct{}),
+		conns:     make(map[net.Conn]struct{}),
 	}
 	s.backend.Store(&backendBox{b})
-	s.pool.New = func() any {
-		return &request{pkt: make(rules.Packet, s.numFields)}
-	}
 	return s
 }
 
@@ -217,7 +160,7 @@ func (s *Server) Reload() error {
 }
 
 // Start binds the data-plane listener (and admin server, if configured) and
-// launches the acceptor and dispatcher goroutines.
+// launches the acceptor goroutine.
 func (s *Server) Start() error {
 	ln, err := net.Listen("tcp", s.cfg.Listen)
 	if err != nil {
@@ -235,8 +178,7 @@ func (s *Server) Start() error {
 		go s.admin.Serve(aln)
 	}
 	s.started = true
-	s.dispWG.Add(1)
-	go s.dispatch()
+	s.connWG.Add(1)
 	go s.acceptLoop()
 	return nil
 }
@@ -256,91 +198,153 @@ func (s *Server) AdminAddr() net.Addr {
 func (s *Server) MetricsSnapshot() MetricsSnapshot { return s.metrics.snapshot() }
 
 func (s *Server) acceptLoop() {
+	defer s.connWG.Done()
+	var backoff time.Duration
 	for {
 		nc, err := s.ln.Accept()
 		if err != nil {
-			// Listener closed during shutdown, or transient accept error.
-			select {
-			case <-s.quit:
+			if s.draining.Load() || errors.Is(err, net.ErrClosed) {
 				return
-			default:
 			}
-			if errors.Is(err, net.ErrClosed) {
+			// A persistent failure (EMFILE, say) must not spin: back off
+			// the way net/http does, 5ms doubling to 1s.
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			select {
+			case <-time.After(backoff):
+			case <-s.quit:
 				return
 			}
 			continue
 		}
+		backoff = 0
+		s.connMu.Lock()
 		if s.draining.Load() {
+			s.connMu.Unlock()
 			nc.Close()
 			continue
 		}
-		c := &conn{nc: nc, bw: bufio.NewWriterSize(nc, 16<<10)}
-		s.connMu.Lock()
-		s.conns[c] = struct{}{}
+		s.conns[nc] = struct{}{}
+		s.connWG.Add(1)
 		s.connMu.Unlock()
 		s.metrics.ConnectionsTotal.Add(1)
 		s.metrics.ActiveConns.Add(1)
-		s.connWG.Add(1)
-		go s.readLoop(c)
+		go s.serveConn(nc)
 	}
 }
 
-// readLoop is the per-connection ingress: handshake, then decode fixed
-// frames and push them into the coalescing queue until EOF or shutdown.
-func (s *Server) readLoop(c *conn) {
-	defer func() {
-		s.metrics.ActiveConns.Add(-1)
-		if !s.draining.Load() {
-			// Normal client departure: EOF means the client read everything
-			// it asked for, so the socket can go. During a drain the conn
-			// stays registered — Shutdown flushes the dispatcher's final
-			// responses into it before closing.
-			s.connMu.Lock()
-			delete(s.conns, c)
-			s.connMu.Unlock()
-			c.nc.Close()
+// connScratch is the memory one connection's reader reuses for every batch,
+// so steady-state serving does not allocate.
+type connScratch struct {
+	pkts []rules.Packet // pkts[i] is a fixed window of one flat []uint32
+	out  []int
+	resp []byte // encoded responses awaiting the next write
+}
+
+func newConnScratch(numFields, maxBatch, maxPending int) *connScratch {
+	sc := &connScratch{
+		pkts: make([]rules.Packet, maxBatch),
+		out:  make([]int, maxBatch),
+		resp: make([]byte, maxPending*respFrameLen),
+	}
+	flat := make([]uint32, maxBatch*numFields)
+	for i := range sc.pkts {
+		sc.pkts[i] = flat[i*numFields : (i+1)*numFields : (i+1)*numFields]
+	}
+	return sc
+}
+
+// classifyFrames is the per-batch core: decode the request frames in frames
+// (a whole number of them) into the connection's packet scratch, issue one
+// LookupBatch against a backend handle pinned for the whole batch — a
+// concurrent Reload swap never tears a batch, and the old handle stays valid
+// even after its Close (fail-static lookup guarantee) — and encode their
+// response frames into resp. It holds the hot-path contract: one atomic
+// load, no locks, no allocation.
+//
+//nm:hotpath
+func (s *Server) classifyFrames(frames []byte, sc *connScratch, resp []byte) {
+	frameLen := reqFrameLen(s.numFields)
+	n := len(frames) / frameLen
+	for i := 0; i < n; i++ {
+		f := frames[i*frameLen : (i+1)*frameLen]
+		copy(resp[i*respFrameLen:], f[:4]) // seq, echoed verbatim
+		pkt := sc.pkts[i]
+		for d := range pkt {
+			pkt[d] = le32(f[4+4*d:])
 		}
+	}
+	backend := s.backend.Load().b
+	backend.LookupBatch(sc.pkts[:n], sc.out[:n])
+	for i := 0; i < n; i++ {
+		putLE32(resp[i*respFrameLen+4:], uint32(int32(sc.out[i])))
+	}
+}
+
+// serveConn is one connection's whole data plane: handshake, then block for
+// a frame, classify every complete frame the same socket read delivered —
+// the client's own pipelined window is the batch, never waited on — and
+// write all their responses in one call right before blocking again.
+// Nothing is shared with other connections but the metrics, so a slow or
+// stalled client holds up only itself.
+func (s *Server) serveConn(nc net.Conn) {
+	defer func() {
+		s.connMu.Lock()
+		delete(s.conns, nc)
+		s.connMu.Unlock()
+		nc.Close()
+		s.metrics.ActiveConns.Add(-1)
 		s.connWG.Done()
 	}()
-	if err := writeHandshake(c.nc, s.numFields); err != nil {
+	if err := writeHandshake(nc, s.numFields); err != nil {
 		return
 	}
-	frame := make([]byte, reqFrameLen(s.numFields))
-	br := bufio.NewReaderSize(c.nc, 16<<10)
+	m := &s.metrics
+	frameLen := reqFrameLen(s.numFields)
+	br := bufio.NewReaderSize(nc, max(connBufSize, frameLen))
+	maxPending := br.Size() / frameLen
+	maxBatch := min(s.cfg.BatchSize, maxPending)
+	sc := newConnScratch(s.numFields, maxBatch, maxPending)
 	for {
-		if _, err := io.ReadFull(br, frame); err != nil {
-			// Clean EOF at a frame boundary is a normal client departure.
-			if !errors.Is(err, io.EOF) && !s.draining.Load() {
-				s.metrics.ReadErrors.Add(1)
+		head, err := br.Peek(frameLen)
+		if err != nil {
+			// EOF at a frame boundary is a normal client departure, and a
+			// drain kicks parked readers with a read deadline; anything
+			// else, a truncated frame included, is a read error. Every
+			// complete frame read so far has already been answered.
+			if !s.draining.Load() && (len(head) > 0 || !errors.Is(err, io.EOF)) {
+				m.ReadErrors.Add(1)
 			}
-			// The connection stays open (and in s.conns) until shutdown or
-			// client close so late responses from in-flight batches can
-			// still be written; closing the socket here would race them.
 			return
 		}
-		req := s.pool.Get().(*request)
-		req.c = c
-		req.seq = binary.LittleEndian.Uint32(frame[0:4])
-		for i := 0; i < s.numFields; i++ {
-			req.pkt[i] = binary.LittleEndian.Uint32(frame[4+4*i:])
+		start := time.Now()
+		pending, batches := 0, uint64(0)
+		for br.Buffered() >= frameLen {
+			n := min(br.Buffered()/frameLen, maxBatch)
+			frames, _ := br.Peek(n * frameLen) // already buffered: cannot fail
+			s.classifyFrames(frames, sc, sc.resp[pending*respFrameLen:])
+			br.Discard(n * frameLen)
+			pending += n
+			batches++
 		}
-		req.enq = time.Now()
-		s.metrics.RequestsTotal.Add(1)
-		s.metrics.Inflight.Add(1)
-		select {
-		case s.reqCh <- req:
-		case <-s.quit:
-			s.metrics.Inflight.Add(-1)
-			s.pool.Put(req)
+		m.RequestsTotal.Add(uint64(pending))
+		m.BatchesTotal.Add(batches)
+		if nw, err := nc.Write(sc.resp[:pending*respFrameLen]); err != nil {
+			// The kernel took nw bytes before failing: the whole responses
+			// among them were delivered, the rest are dropped.
+			sent := nw / respFrameLen
+			m.ResponsesTotal.Add(uint64(sent))
+			m.WriteErrors.Add(uint64(pending - sent))
 			return
 		}
+		m.ResponsesTotal.Add(uint64(pending))
+		m.observeLatency(time.Since(start), uint64(pending))
 	}
 }
 
-// Shutdown drains the server: stop accepting, unblock the readers, let the
-// dispatcher answer everything already queued, flush and close every
-// connection, then stop the admin plane. ctx bounds the wait; on expiry
-// connections are force-closed.
+// Shutdown drains the server: stop accepting, kick every reader, and wait
+// for them to answer what they had already read and close their sockets;
+// then stop the admin plane. ctx bounds the wait; on expiry connections are
+// force-closed.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.started {
 		return nil
@@ -351,19 +355,19 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	close(s.quit)
 	s.ln.Close()
 
-	// Unblock readers parked in ReadFull so connWG can drain.
+	// Unblock readers parked in a read now, and any parked in a write to a
+	// client that stopped reading once the grace period ends.
 	now := time.Now()
 	s.connMu.Lock()
-	for c := range s.conns {
-		c.nc.SetReadDeadline(now)
+	for nc := range s.conns {
+		nc.SetReadDeadline(now)
+		nc.SetWriteDeadline(now.Add(drainWriteGrace))
 	}
 	s.connMu.Unlock()
 
 	done := make(chan struct{})
 	go func() {
 		s.connWG.Wait()
-		close(s.reqCh) // dispatcher drains buffered requests, then exits
-		s.dispWG.Wait()
 		close(done)
 	}()
 	var err error
@@ -371,16 +375,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-done:
 	case <-ctx.Done():
 		err = ctx.Err()
+		s.connMu.Lock()
+		for nc := range s.conns {
+			nc.Close()
+		}
+		s.connMu.Unlock()
 	}
-
-	// Flush whatever the dispatcher wrote, then tear the sockets down.
-	s.connMu.Lock()
-	for c := range s.conns {
-		c.flush()
-		c.nc.Close()
-		delete(s.conns, c)
-	}
-	s.connMu.Unlock()
 
 	if s.admin != nil {
 		actx, cancel := context.WithTimeout(context.Background(), time.Second)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -73,6 +74,20 @@ func startServer(t *testing.T, b serve.Backend, cfg serve.Config) *serve.Server 
 	return s
 }
 
+// settledSnapshot returns the server's metrics once they account for the
+// responses clients have already received: a reader counts a response after
+// the write that delivered it returns, so a client can be a step ahead.
+func settledSnapshot(s *serve.Server, responses uint64) serve.MetricsSnapshot {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		snap := s.MetricsSnapshot()
+		if snap.LatencyCount >= responses || time.Now().After(deadline) {
+			return snap
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestProtoRoundTrip(t *testing.T) {
 	s := startServer(t, newFake(3), serve.Config{})
 	c, err := serve.Dial(s.Addr().String())
@@ -114,26 +129,33 @@ func TestDialRejectsBadHandshake(t *testing.T) {
 	}
 }
 
-// TestDeadlineFlush: a lone trickling request must be answered within the
-// coalescing deadline, not held hostage for a full batch.
-func TestDeadlineFlush(t *testing.T) {
-	s := startServer(t, newFake(2), serve.Config{BatchSize: 128, MaxDelay: time.Millisecond})
+// TestLoneRequestLatency: a lone request is answered as soon as it is read —
+// no batch-fill wait, no timer — so a one-in-flight round trip over loopback
+// costs tens of microseconds, and every batch it causes is a singleton.
+func TestLoneRequestLatency(t *testing.T) {
+	const trips = 500
+	s := startServer(t, newFake(2), serve.Config{})
 	c, err := serve.Dial(s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	start := time.Now()
-	id, err := c.Classify(rules.Packet{40, 2})
-	if err != nil || id != 42 {
-		t.Fatalf("Classify = %d, %v; want 42", id, err)
+	rtts := make([]time.Duration, trips)
+	for i := range rtts {
+		start := time.Now()
+		id, err := c.Classify(rules.Packet{40, uint32(i)})
+		if err != nil || id != 40+i {
+			t.Fatalf("Classify = %d, %v; want %d", id, err, 40+i)
+		}
+		rtts[i] = time.Since(start)
 	}
-	if e := time.Since(start); e > 2*time.Second {
-		t.Fatalf("lone request took %v — deadline flush broken", e)
+	sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
+	if p50 := rtts[trips/2]; p50 >= 250*time.Microsecond {
+		t.Fatalf("lone round trip p50 %v, want < 250µs", p50)
 	}
 	snap := s.MetricsSnapshot()
-	if snap.BatchesTotal == 0 || snap.BatchFillSum != snap.BatchesTotal {
-		t.Fatalf("expected singleton batches, got fill %d over %d batches", snap.BatchFillSum, snap.BatchesTotal)
+	if snap.BatchesTotal != trips || snap.BatchFillSum != trips {
+		t.Fatalf("expected %d singleton batches, got fill %d over %d batches", trips, snap.BatchFillSum, snap.BatchesTotal)
 	}
 }
 
@@ -186,7 +208,7 @@ func TestReloadSwapAndReject(t *testing.T) {
 // must be answered before the connection closes.
 func TestShutdownDrains(t *testing.T) {
 	const n = 100
-	s := startServer(t, newFake(2), serve.Config{BatchSize: 8, MaxDelay: 50 * time.Microsecond})
+	s := startServer(t, newFake(2), serve.Config{BatchSize: 8})
 	c, err := serve.Dial(s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -279,6 +301,7 @@ func TestAdminEndpoints(t *testing.T) {
 	if _, err := c.Classify(rules.Packet{1, 1}); err != nil {
 		t.Fatal(err)
 	}
+	settledSnapshot(s, 1)
 	code, body := adminGet(t, s, "/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics = %d", code)
@@ -296,12 +319,13 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 }
 
-// TestCoalescingUnderLoad: many concurrent clients must coalesce into
-// multi-request batches, and every response must route back to the right
-// connection.
-func TestCoalescingUnderLoad(t *testing.T) {
-	const clients, per = 16, 200
-	s := startServer(t, newFake(2), serve.Config{BatchSize: 64, MaxDelay: 200 * time.Microsecond})
+// TestPipelinedWindowBatches: a client's own pipelined window is its batch.
+// Every response must route back to the connection that asked, in request
+// order, and batches must carry more than one request without ever
+// exceeding BatchSize.
+func TestPipelinedWindowBatches(t *testing.T) {
+	const clients, per, batchSize = 16, 200, 24
+	s := startServer(t, newFake(2), serve.Config{BatchSize: batchSize})
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
 	for ci := 0; ci < clients; ci++ {
@@ -315,7 +339,7 @@ func TestCoalescingUnderLoad(t *testing.T) {
 			}
 			defer c.Close()
 			const window = 32
-			next, inflight := 0, 0
+			next, inflight, expect := 0, 0, uint32(0)
 			for next < per || inflight > 0 {
 				for next < per && inflight < window {
 					// Client identity baked into the payload: a misrouted
@@ -336,6 +360,11 @@ func TestCoalescingUnderLoad(t *testing.T) {
 					errs <- err
 					return
 				}
+				if seq != expect {
+					errs <- fmt.Errorf("client %d: response seq %d arrived where %d was due", ci, seq, expect)
+					return
+				}
+				expect++
 				if want := ci*1000 + int(seq); id != want {
 					errs <- fmt.Errorf("client %d seq %d: got %d, want %d", ci, seq, id, want)
 					return
@@ -349,9 +378,102 @@ func TestCoalescingUnderLoad(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	snap := s.MetricsSnapshot()
+	snap := settledSnapshot(s, clients*per)
 	if snap.ResponsesTotal != clients*per {
 		t.Fatalf("responses %d, want %d", snap.ResponsesTotal, clients*per)
 	}
+	if fill := snap.AvgBatchFill(); fill <= 1 || fill > batchSize {
+		t.Fatalf("avg batch fill %.2f over %d batches, want in (1, %d]", fill, snap.BatchesTotal, batchSize)
+	}
 	t.Logf("batches %d, avg fill %.1f", snap.BatchesTotal, snap.AvgBatchFill())
+}
+
+// TestStalledClientDoesNotBlockOthers: a client that pipelines far more than
+// the socket buffers hold and never reads parks its own reader in a write;
+// every other connection keeps being served, and Shutdown still drains
+// without waiting for its context to expire.
+func TestStalledClientDoesNotBlockOthers(t *testing.T) {
+	s := startServer(t, newFake(2), serve.Config{})
+	stalled, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	// 64 MiB of valid frames, far past any loopback socket buffering. The
+	// writer blocks once its own send buffer fills behind the server's; the
+	// connection is closed at test end, which releases it.
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		chunk := make([]byte, 12*4096)
+		for i := 0; i < 64<<20/len(chunk); i++ {
+			if _, err := stalled.Write(chunk); err != nil {
+				return
+			}
+		}
+	}()
+	// The stall is in place once the server has stopped making progress on
+	// the flood: its reader is parked writing responses nobody reads.
+	last, deadline := uint64(0), time.Now().Add(10*time.Second)
+	for {
+		time.Sleep(50 * time.Millisecond)
+		cur := s.MetricsSnapshot().RequestsTotal
+		if cur > 0 && cur == last {
+			break
+		}
+		if last = cur; time.Now().After(deadline) {
+			t.Fatalf("flooding client never stalled (%d requests read)", cur)
+		}
+	}
+	if in := s.MetricsSnapshot().Inflight; in <= 0 {
+		t.Fatalf("stalled connection shows %d requests in flight, want > 0", in)
+	}
+
+	c, err := serve.Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	served := make(chan error, 1)
+	go func() {
+		for i := 0; i < 200; i++ {
+			start := time.Now()
+			id, err := c.Classify(rules.Packet{uint32(i), 5})
+			if err != nil || id != i+5 {
+				served <- fmt.Errorf("Classify beside a stalled client = %d, %v; want %d", id, err, i+5)
+				return
+			}
+			if e := time.Since(start); e > 100*time.Millisecond {
+				served <- fmt.Errorf("round trip %d took %v beside a stalled client", i, e)
+				return
+			}
+		}
+		served <- nil
+	}()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a second connection is not served while one client is stalled")
+	}
+
+	// The stalled reader is parked in Write; only the write deadline can
+	// release it short of the context expiring.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if e := time.Since(start); e > 10*time.Second {
+		t.Fatalf("Shutdown took %v with a stalled client, want the write deadline to release it", e)
+	}
+	snap := s.MetricsSnapshot()
+	if snap.WriteErrors == 0 || snap.RequestsTotal != snap.ResponsesTotal+snap.WriteErrors {
+		t.Fatalf("after drain: %d requests, %d responses, %d dropped", snap.RequestsTotal, snap.ResponsesTotal, snap.WriteErrors)
+	}
+	stalled.Close()
+	<-wrote
 }
