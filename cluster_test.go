@@ -11,25 +11,7 @@ import (
 	"nuevomatch"
 	"nuevomatch/internal/classbench"
 	"nuevomatch/internal/faultinject"
-	"nuevomatch/internal/rqrmi"
 )
-
-// fastShardOpts keeps per-shard training cheap in public-API tests.
-func fastShardOpts() []nuevomatch.Option {
-	return []nuevomatch.Option{
-		nuevomatch.WithRQRMI(rqrmi.Config{
-			StageWidths:    []int{1, 4},
-			TargetError:    32,
-			MaxRetrain:     2,
-			MinSamples:     64,
-			MaxSamples:     1024,
-			InternalEpochs: 120,
-			LeafEpochs:     200,
-			Seed:           1,
-			Workers:        2,
-		}),
-	}
-}
 
 // uniquePriorities remaps a generated rule-set onto unique priorities so
 // differential comparisons have no tie ambiguity.
@@ -71,19 +53,19 @@ func TestClusterEquivalentToTable(t *testing.T) {
 			rs := classbench.Generate(prof, size)
 			uniquePriorities(rs)
 
-			table, err := nuevomatch.Open(rs.Clone(), fastShardOpts()...)
+			table, err := nuevomatch.Open(rs.Clone())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer table.Close()
 			single, err := nuevomatch.OpenCluster(rs.Clone(),
-				append(fastShardOpts2(), nuevomatch.WithShards(1))...)
+				nuevomatch.WithShards(1))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer single.Close()
 			multi, err := nuevomatch.OpenCluster(rs.Clone(),
-				append(fastShardOpts2(), nuevomatch.WithShards(3))...)
+				nuevomatch.WithShards(3))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,11 +134,6 @@ func TestClusterEquivalentToTable(t *testing.T) {
 	}
 }
 
-// fastShardOpts2 wraps fastShardOpts as cluster options.
-func fastShardOpts2() []nuevomatch.ClusterOption {
-	return []nuevomatch.ClusterOption{nuevomatch.WithShardOptions(fastShardOpts()...)}
-}
-
 // TestClusterSaveLoadPublic round-trips a cluster through SaveDir and
 // LoadCluster via the public API and proves the loaded cluster is live.
 func TestClusterSaveLoadPublic(t *testing.T) {
@@ -167,7 +144,7 @@ func TestClusterSaveLoadPublic(t *testing.T) {
 	rs := classbench.Generate(prof, 180)
 	uniquePriorities(rs)
 	cluster, err := nuevomatch.OpenCluster(rs.Clone(),
-		append(fastShardOpts2(), nuevomatch.WithShards(3))...)
+		nuevomatch.WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,14 +200,14 @@ func TestClusterAutopilotPersist(t *testing.T) {
 	uniquePriorities(rs)
 	dir := filepath.Join(t.TempDir(), "cluster.d")
 
-	cluster, err := nuevomatch.OpenCluster(rs.Clone(), append(fastShardOpts2(),
+	cluster, err := nuevomatch.OpenCluster(rs.Clone(),
 		nuevomatch.WithShards(2),
 		nuevomatch.WithClusterAutopilot(nuevomatch.AutopilotPolicy{
 			MaxUpdates:   30,
 			MinLiveRules: 1,
 			Interval:     -1, // Check-driven
 		}),
-		nuevomatch.WithClusterAutopilotPersist(dir))...)
+		nuevomatch.WithClusterAutopilotPersist(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,13 +287,13 @@ func TestClusterHealthQuarantine(t *testing.T) {
 	}
 	rs := classbench.Generate(prof, 200)
 	uniquePriorities(rs)
-	cluster, err := nuevomatch.OpenCluster(rs.Clone(), append(fastShardOpts2(),
+	cluster, err := nuevomatch.OpenCluster(rs.Clone(),
 		nuevomatch.WithShards(2),
 		nuevomatch.WithClusterAutopilot(nuevomatch.AutopilotPolicy{
 			MaxUpdates:   1, // any journaled update arms the next Check
 			MinLiveRules: 1,
 			Interval:     -1, // Check-driven
-		}))...)
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,13 +409,13 @@ func TestClusterHealthNoDoubleCount(t *testing.T) {
 	}
 	rs := classbench.Generate(prof, 200)
 	uniquePriorities(rs)
-	cluster, err := nuevomatch.OpenCluster(rs.Clone(), append(fastShardOpts2(),
+	cluster, err := nuevomatch.OpenCluster(rs.Clone(),
 		nuevomatch.WithShards(2),
 		nuevomatch.WithClusterAutopilot(nuevomatch.AutopilotPolicy{
 			MaxUpdates:   1,
 			MinLiveRules: 1,
 			Interval:     -1, // Check-driven
-		}))...)
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,13 +150,19 @@ func TestThroughputMeasuresAgree(t *testing.T) {
 	}
 	// Two instances on two goroutines should not be slower than one. The
 	// ratio is meaningless under the race detector, whose instrumentation
-	// multiplies the synchronization costs being measured.
-	t2 := Throughput2(c, tr.Packets)
-	if t2 <= 0 {
-		t.Fatal("non-positive 2-core throughput")
+	// multiplies the synchronization costs being measured. One sample of
+	// each lasts only a few milliseconds, so a single descheduling can sink
+	// either; compare the best of five paired samples.
+	best1, best2 := 0.0, 0.0
+	for i := 0; i < 5; i++ {
+		t2 := Throughput2(c, tr.Packets)
+		if t2 <= 0 {
+			t.Fatal("non-positive 2-core throughput")
+		}
+		best1, best2 = max(best1, Throughput1(c, tr.Packets)), max(best2, t2)
 	}
-	if !raceEnabled && t2 < t1*0.8 {
-		t.Errorf("2-core throughput %.0f < 0.8x single-core %.0f", t2, t1)
+	if !raceEnabled && best2 < best1*0.8 {
+		t.Errorf("best 2-core throughput %.0f < 0.8x best single-core %.0f", best2, best1)
 	}
 }
 

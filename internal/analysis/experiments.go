@@ -681,7 +681,11 @@ func remainderMust(name string) rules.Builder {
 // --- Figure 15 ---------------------------------------------------------
 
 // Fig15 measures RQ-RMI training time as a function of the maximum search
-// distance bound, per rule-set size.
+// distance bound, per rule-set size. In the paper a looser bound lets
+// Adam's retrain loop stop sooner. Here each submodel is fitted to its
+// minimax error whatever the bound, which only seeds the search for that
+// error, so the rows stay roughly flat: the figure shows what training
+// costs at each size rather than a trade-off.
 func (r *Runner) Fig15() error {
 	w := r.cfg.W
 	fmt.Fprintln(w, "Figure 15: training time vs max search distance bound")

@@ -273,9 +273,8 @@ type Cluster struct {
 }
 
 // BuildCluster partitions rs across opts.Shards engine shards and trains
-// them (in parallel — shard training is embarrassingly parallel and
-// dominated by RQ-RMI epochs). The rule-set is cloned per shard; the
-// caller's copy is not retained.
+// them (in parallel — shard training is embarrassingly parallel). The
+// rule-set is cloned per shard; the caller's copy is not retained.
 func BuildCluster(rs *rules.RuleSet, opts ClusterOptions) (*Cluster, error) {
 	opts = opts.withDefaults()
 	if err := rs.Validate(); err != nil {
@@ -376,8 +375,10 @@ func (c *Cluster) PartitionField() int { return c.part.field }
 // Kind returns the partitioning strategy.
 func (c *Cluster) Kind() PartitionKind { return c.part.kind }
 
-// NumFields returns the dimensionality of the served rule-set.
-func (c *Cluster) NumFields() int { return c.engines[0].rs.NumFields }
+// NumFields returns the dimensionality of the served rule-set. It asks the
+// engine under its lock: a background retrain may be swapping the engine's
+// rule-set in at the same moment.
+func (c *Cluster) NumFields() int { return c.engines[0].NumFields() }
 
 // shardOf routes a packet: the shard whose engine holds every rule that can
 // match it. Packets too short to carry the partition field route nowhere.

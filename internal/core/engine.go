@@ -41,8 +41,7 @@ type Options struct {
 	// filtering so even tiny iSets are kept.
 	MinCoverage float64
 	// RQRMI is the per-iSet training configuration; zero fields default
-	// per rqrmi.DefaultConfig for the iSet's size. The Seed is offset per
-	// iSet to decorrelate models.
+	// per rqrmi.DefaultConfig for the iSet's size.
 	RQRMI rqrmi.Config
 	// Remainder builds the external classifier; nil means TupleMerge with
 	// the paper's settings. A rules.Freezable classifier (TupleMerge is) is
@@ -244,12 +243,7 @@ func Build(rs *rules.RuleSet, opts Options) (*Engine, error) {
 		for j, pos := range is.Positions {
 			entries[j] = rqrmi.Entry{Range: e.rs.Rules[pos].Fields[is.Field], Value: pos}
 		}
-		cfg := opts.RQRMI
-		if cfg.Seed == 0 {
-			cfg.Seed = 42
-		}
-		cfg.Seed += int64(i) * 7919
-		model, ts, err := rqrmi.Train(entries, cfg)
+		model, ts, err := rqrmi.Train(entries, opts.RQRMI)
 		if err != nil {
 			return nil, fmt.Errorf("core: training iSet %d (field %d): %w", i, is.Field, err)
 		}

@@ -9,26 +9,15 @@ import (
 	"nuevomatch/internal/classifiers/conformance"
 	"nuevomatch/internal/classifiers/cutsplit"
 	"nuevomatch/internal/classifiers/linear"
-	"nuevomatch/internal/rqrmi"
 	"nuevomatch/internal/rules"
 )
 
-// fastOpts keeps training cheap in tests.
+// fastOpts is the engine's default partition: up to 4 iSets of at least 5 %
+// coverage each.
 func fastOpts() Options {
 	return Options{
 		MaxISets:    4,
 		MinCoverage: 0.05,
-		RQRMI: rqrmi.Config{
-			StageWidths:    []int{1, 4},
-			TargetError:    32,
-			MaxRetrain:     2,
-			MinSamples:     64,
-			MaxSamples:     1024,
-			InternalEpochs: 120,
-			LeafEpochs:     200,
-			Seed:           1,
-			Workers:        2,
-		},
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"nuevomatch/internal/classbench"
-	"nuevomatch/internal/rqrmi"
 	"nuevomatch/internal/rules"
 )
 
@@ -23,23 +22,11 @@ func newSeedRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) 
 // from the ClassBench profiles so the fuzzer starts from realistic
 // ACL/FW/IPC structure instead of random noise.
 
-// fuzzOpts is the cheapest training configuration that still exercises the
-// full pipeline (iSets + remainder + overlay).
+// fuzzOpts exercises the full pipeline (iSets + remainder + overlay).
 func fuzzOpts() Options {
 	return Options{
 		MaxISets:    2,
 		MinCoverage: -1, // keep even tiny iSets: maximizes model-path coverage
-		RQRMI: rqrmi.Config{
-			StageWidths:    []int{1, 2},
-			TargetError:    16,
-			MaxRetrain:     1,
-			MinSamples:     32,
-			MaxSamples:     256,
-			InternalEpochs: 40,
-			LeafEpochs:     60,
-			Seed:           7,
-			Workers:        1,
-		},
 	}
 }
 

@@ -37,9 +37,9 @@ import (
 //	magic "NMTBL\x01" | version u32 |
 //	options: maxISets i32, minCoverage f64, nISetFields u16 + i32...,
 //	         remainder name (u16 len + bytes),
-//	         rqrmi config: nWidths u16 + u32..., hidden/targetError/
-//	         maxRetrain/minSamples/maxSamples/internalEpochs/leafEpochs i32,
-//	         lr f64, seed i64, safetySlack i32 |
+//	         rqrmi config: nWidths u16 + u32..., hidden/targetError i32,
+//	         five retired i32 slots and one retired f64 slot (written as
+//	         zeros, ignored on read), seed i64, safetySlack i32 |
 //	built rules: numFields u16, nRules u32,
 //	             per rule: id i64, prio i32, (lo u32, hi u32) × numFields |
 //	live bitmap: ceil(nRules/8) bytes (bit pos%8 of byte pos/8) |
@@ -218,13 +218,12 @@ func (e *Engine) serializeTo(buf *bytes.Buffer) error {
 			return err
 		}
 	}
-	for _, v := range []int{cfg.Hidden, cfg.TargetError, cfg.MaxRetrain, cfg.MinSamples,
-		cfg.MaxSamples, cfg.InternalEpochs, cfg.LeafEpochs} {
+	for _, v := range []int{cfg.Hidden, cfg.TargetError} {
 		if err := put(int32(v)); err != nil {
 			return err
 		}
 	}
-	if err := put(cfg.LR); err != nil {
+	if err := put(retiredTrainingKnobs{}); err != nil {
 		return err
 	}
 	if err := put(cfg.Seed); err != nil {
@@ -711,6 +710,15 @@ func getIntSlice(get func(any) error, cap16 int) ([]int, error) {
 	return out, nil
 }
 
+// retiredTrainingKnobs holds the codec slots of the gradient-training
+// settings the RQ-RMI no longer has (retrain attempts, sample bounds,
+// epochs, learning rate). Tables write them as zeros and readers skip them,
+// which keeps the format unchanged.
+type retiredTrainingKnobs struct {
+	Ints [5]int32
+	LR   float64
+}
+
 func readRQRMIConfig(get func(any) error) (rqrmi.Config, error) {
 	var cfg rqrmi.Config
 	var nWidths uint16
@@ -730,19 +738,15 @@ func readRQRMIConfig(get func(any) error) (rqrmi.Config, error) {
 		}
 		cfg.StageWidths = append(cfg.StageWidths, int(w))
 	}
-	for _, dst := range []*int{&cfg.Hidden, &cfg.TargetError, &cfg.MaxRetrain,
-		&cfg.MinSamples, &cfg.MaxSamples, &cfg.InternalEpochs, &cfg.LeafEpochs} {
+	for _, dst := range []*int{&cfg.Hidden, &cfg.TargetError} {
 		var v int32
 		if err := get(&v); err != nil {
 			return cfg, err
 		}
 		*dst = int(v)
 	}
-	if err := get(&cfg.LR); err != nil {
+	if err := get(&retiredTrainingKnobs{}); err != nil {
 		return cfg, err
-	}
-	if math.IsNaN(cfg.LR) {
-		return cfg, fmt.Errorf("core: NaN learning rate")
 	}
 	if err := get(&cfg.Seed); err != nil {
 		return cfg, err

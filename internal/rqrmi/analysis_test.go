@@ -1,28 +1,31 @@
 package rqrmi
 
 import (
+	"math"
 	"math/rand"
 	"testing"
-
-	"nuevomatch/internal/nn"
 )
 
-// randomSubmodel builds a submodel with randomized weights normalized over
-// [lo, hi] in key space, mimicking an arbitrarily (mis)trained network.
+// randomSubmodel builds a submodel with 8 hidden units of randomized weights
+// normalized over [lo, hi] in key space, mimicking an arbitrary network:
+// kinks spread over the input range around a near-identity function, then
+// perturbed.
 func randomSubmodel(rng *rand.Rand, lo, hi uint64) submodel {
-	net := nn.New(8, rng)
-	for k := range net.W1 {
-		net.W1[k] += rng.NormFloat64() * 2
-		net.B1[k] += rng.NormFloat64()
-		net.W2[k] += rng.NormFloat64()
+	const h = 8
+	s := submodel{w1: make([]float64, h), b1: make([]float64, h), w2: make([]float64, h)}
+	for k := 0; k < h; k++ {
+		s.w1[k] = 1 + rng.NormFloat64()*2
+		s.b1[k] = -float64(k)/h + rng.NormFloat64()
+		s.w2[k] = rng.NormFloat64()
 	}
-	net.B2 += rng.NormFloat64() * 0.3
-	inLo := float64(lo) * scale
-	inSpan := (float64(hi) - float64(lo)) * scale
-	if inSpan <= 0 {
-		inSpan = scale
+	s.w2[0]++
+	s.b2 = rng.NormFloat64() * 0.3
+	s.inLo = float64(lo) * scale
+	s.inSpan = (float64(hi) - float64(lo)) * scale
+	if s.inSpan <= 0 {
+		s.inSpan = scale
 	}
-	return submodel{w1: net.W1, b1: net.B1, w2: net.W2, b2: net.B2, inLo: inLo, inSpan: inSpan}
+	return s
 }
 
 // TestPartitionMatchesBruteForce is the keystone property test: partition's
@@ -151,6 +154,8 @@ func TestTotalKeysAndHull(t *testing.T) {
 	}
 }
 
+// TestLeafMaxErrorMatchesBruteForce checks the exact bound against every key
+// of small staircases, for arbitrary networks and for fitted ones.
 func TestLeafMaxErrorMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 30; trial++ {
@@ -164,37 +169,68 @@ func TestLeafMaxErrorMatchesBruteForce(t *testing.T) {
 			cur += w + 1 + uint32(rng.Intn(100))
 		}
 		n := len(los)
-		s := randomSubmodel(rng, 0, 4200)
 		resp := []kinterval{{0, 1500}, {1600, 4200}}
+		fitted := fitStaircase(newStaircase(resp, los, his, 0, 4200*scale, 8), 8, n, 64)
+		fitted.roundParamsF32()
+		for name, s := range map[string]submodel{"random": randomSubmodel(rng, 0, 4200), "fitted": fitted} {
+			got := s.leafMaxError(resp, los, his)
 
-		got := s.leafMaxError(resp, los, his)
-
-		var want int32
-		for _, iv := range resp {
-			for k := iv.lo; k <= iv.hi; k++ {
-				ti := -1
-				for j := 0; j < n; j++ {
-					if uint32(k) >= los[j] && uint32(k) <= his[j] {
-						ti = j
-						break
+			var want int32
+			for _, iv := range resp {
+				for k := iv.lo; k <= iv.hi; k++ {
+					ti := -1
+					for j := 0; j < n; j++ {
+						if uint32(k) >= los[j] && uint32(k) <= his[j] {
+							ti = j
+							break
+						}
+					}
+					if ti < 0 {
+						continue
+					}
+					d := int32(s.bucket(k, n) - ti)
+					if d < 0 {
+						d = -d
+					}
+					if d > want {
+						want = d
 					}
 				}
-				if ti < 0 {
-					continue
-				}
-				d := int32(s.bucket(k, n) - ti)
-				if d < 0 {
-					d = -d
-				}
-				if d > want {
-					want = d
-				}
+			}
+			if got != want {
+				t.Fatalf("trial %d (%s): leafMaxError = %d, brute force = %d", trial, name, got, want)
 			}
 		}
-		if got != want {
-			t.Fatalf("trial %d: leafMaxError = %d, brute force = %d", trial, got, want)
+		if kinks := countKinks(&fitted, 0, 4200); kinks > len(fitted.w1) {
+			t.Fatalf("trial %d: fitted function has %d kinks, more than its %d hidden units", trial, kinks, len(fitted.w1))
 		}
 	}
+}
+
+// countKinks counts the slope changes of the unclamped network output over
+// the keys [lo, hi]: runs of nonzero second differences, each of which is
+// one kink between or on lattice keys.
+func countKinks(s *submodel, lo, hi uint64) int {
+	raw := func(k uint64) float64 {
+		u := (float64(k)*scale - s.inLo) / s.inSpan
+		y := s.b2
+		for j, w := range s.w1 {
+			if z := u*w + s.b1[j]; z > 0 {
+				y += s.w2[j] * z
+			}
+		}
+		return y
+	}
+	kinks, inRun := 0, false
+	for k := lo + 1; k < hi; k++ {
+		a, b, c := raw(k-1), raw(k), raw(k+1)
+		bent := math.Abs(a-2*b+c) > 1e-9*(math.Abs(a)+math.Abs(b)+math.Abs(c)+1e-12)
+		if bent && !inRun {
+			kinks++
+		}
+		inRun = bent
+	}
+	return kinks
 }
 
 func TestKinkKeysWithinBounds(t *testing.T) {

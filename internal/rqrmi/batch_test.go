@@ -25,10 +25,7 @@ func TestLookupEntryBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, n := range []int{1, 7, 100, 2000} {
 		entries := randomEntries(rng, n)
-		cfg := DefaultConfig(n)
-		cfg.InternalEpochs = 100
-		cfg.LeafEpochs = 150
-		m, _, err := Train(entries, cfg)
+		m, _, err := Train(entries, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,10 +59,7 @@ func TestLookupEntryBatchMatchesScalar(t *testing.T) {
 func TestLookupEntryBatchAfterSerializeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	entries := randomEntries(rng, 300)
-	cfg := DefaultConfig(len(entries))
-	cfg.InternalEpochs = 100
-	cfg.LeafEpochs = 150
-	m, _, err := Train(entries, cfg)
+	m, _, err := Train(entries, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

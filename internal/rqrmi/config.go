@@ -12,22 +12,16 @@ type Config struct {
 	// Hidden is the number of hidden neurons per submodel (the paper
 	// fixes 8, which affords a vectorizable inference kernel).
 	Hidden int
-	// TargetError is the desired worst-case search distance (§3.5.6). A
-	// leaf exceeding it is retrained with twice the samples, up to
-	// MaxRetrain attempts; afterwards the measured bound is accepted as-is
-	// — lookups stay correct, only the secondary search gets longer.
+	// TargetError is the desired worst-case search distance (§3.5.6). The
+	// fit minimizes every submodel's error whatever the target, so it only
+	// seeds the search for the smallest tolerance; a leaf that cannot meet
+	// it keeps its measured bound — lookups stay correct, only the
+	// secondary search gets longer.
 	TargetError int
-	// MaxRetrain is the number of sample-doubling retrain attempts.
-	MaxRetrain int
-	// MinSamples/MaxSamples bound the per-submodel training-set size.
-	MinSamples, MaxSamples int
-	// InternalEpochs/LeafEpochs are the Adam epochs per submodel.
-	InternalEpochs, LeafEpochs int
-	// LR is the Adam step size.
-	LR float64
-	// Seed makes training deterministic, including under parallelism.
+	// Seed is accepted for compatibility and ignored: the fit is
+	// deterministic and draws no random numbers.
 	Seed int64
-	// Workers is the number of goroutines training submodels of one stage
+	// Workers is the number of goroutines fitting submodels of one stage
 	// concurrently. 0 means GOMAXPROCS.
 	Workers int
 	// SafetySlack widens every stored leaf error bound; the default of 1
@@ -56,26 +50,18 @@ func StageWidthsForSize(n int) []int {
 
 // DefaultConfig returns the training configuration used throughout the
 // paper's evaluation for a model over n ranges: Table 4 stage widths, 8
-// hidden neurons, and a maximum error threshold of 64 (§5.1). Dense key
-// clusters can leave individual leaves above the threshold after the
-// retrain loop exhausts its attempts; as §3.5.6 prescribes, the measured
-// bound is then accepted (the operator's "increase the target" escape
-// hatch), which lengthens that leaf's secondary search by a few binary
-// steps but never compromises correctness.
+// hidden neurons, and a maximum error threshold of 64 (§5.1). A leaf whose
+// best fit stays above the threshold keeps its measured bound, as §3.5.6
+// prescribes (the operator's "increase the target" escape hatch), which
+// lengthens that leaf's secondary search by a few binary steps but never
+// compromises correctness.
 func DefaultConfig(n int) Config {
 	return Config{
-		StageWidths:    StageWidthsForSize(n),
-		Hidden:         8,
-		TargetError:    64,
-		MaxRetrain:     5,
-		MinSamples:     128,
-		MaxSamples:     1 << 15,
-		InternalEpochs: 400,
-		LeafEpochs:     600,
-		LR:             0.03,
-		Seed:           42,
-		Workers:        runtime.GOMAXPROCS(0),
-		SafetySlack:    1,
+		StageWidths: StageWidthsForSize(n),
+		Hidden:      8,
+		TargetError: 64,
+		Workers:     runtime.GOMAXPROCS(0),
+		SafetySlack: 1,
 	}
 }
 
@@ -89,27 +75,6 @@ func (c Config) withDefaults(n int) Config {
 	}
 	if c.TargetError <= 0 {
 		c.TargetError = d.TargetError
-	}
-	if c.MaxRetrain <= 0 {
-		c.MaxRetrain = d.MaxRetrain
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = d.MinSamples
-	}
-	if c.MaxSamples <= 0 {
-		c.MaxSamples = d.MaxSamples
-	}
-	if c.InternalEpochs <= 0 {
-		c.InternalEpochs = d.InternalEpochs
-	}
-	if c.LeafEpochs <= 0 {
-		c.LeafEpochs = d.LeafEpochs
-	}
-	if c.LR <= 0 {
-		c.LR = d.LR
-	}
-	if c.Seed == 0 {
-		c.Seed = d.Seed
 	}
 	if c.Workers <= 0 {
 		c.Workers = d.Workers

@@ -1,7 +1,16 @@
 // Package rqrmi implements the Range-Query Recursive Model Index of the
-// paper (§3.3–§3.5): a staged hierarchy of tiny neural networks that learns
-// the mapping from 32-bit keys to the index of the matching range in a
-// sorted array of non-overlapping ranges.
+// paper (§3.3–§3.5): a staged hierarchy of tiny neural networks that maps
+// 32-bit keys to the index of the matching range in a sorted array of
+// non-overlapping ranges.
+//
+// Training. The paper trains every submodel with TensorFlow and Adam on
+// keys sampled from its responsibility, and retrains leaves whose error
+// bound misses the target (§3.5.4–§3.5.6). This implementation deviates:
+// each submodel is fitted directly (fit.go), by a deterministic minimax
+// piecewise-linear fit of the index staircase it is responsible for,
+// written into the same network weights. The guarantee is unchanged — the
+// stored bounds come from the exact analysis below, whatever produced the
+// weights — and a build takes tenths of a second instead of seconds.
 //
 // The model guarantees correct lookups for every key covered by a range:
 // training computes a per-leaf worst-case prediction error (Theorem A.13)
@@ -48,8 +57,8 @@ type Entry struct {
 // preceded by an affine input normalization u = (x-inLo)/inSpan mapping the
 // submodel's responsibility hull to [0,1]. The composition remains piecewise
 // linear in x, so the paper's analytic machinery applies unchanged; the
-// normalization only improves trainability of leaves whose responsibility is
-// a sliver of the domain.
+// normalization only keeps the weights of leaves whose responsibility is a
+// sliver of the domain well scaled.
 type submodel struct {
 	w1, b1 []float64
 	w2     []float64

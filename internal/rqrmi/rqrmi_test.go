@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"nuevomatch/internal/classbench"
+	"nuevomatch/internal/iset"
 	"nuevomatch/internal/rules"
 )
 
@@ -25,21 +27,6 @@ func genEntries(rng *rand.Rand, n int, maxGap, maxWidth uint32) []Entry {
 		}
 	}
 	return es
-}
-
-func smallConfig() Config {
-	return Config{
-		StageWidths:    []int{1, 4},
-		Hidden:         8,
-		TargetError:    32,
-		MaxRetrain:     2,
-		MinSamples:     64,
-		MaxSamples:     1024,
-		InternalEpochs: 120,
-		LeafEpochs:     200,
-		Seed:           1,
-		Workers:        2,
-	}
 }
 
 func TestValidateEntries(t *testing.T) {
@@ -74,7 +61,7 @@ func TestValidateEntries(t *testing.T) {
 }
 
 func TestEmptyModel(t *testing.T) {
-	m, stats, err := Train(nil, smallConfig())
+	m, stats, err := Train(nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +77,7 @@ func TestEmptyModel(t *testing.T) {
 }
 
 func TestSingleEntry(t *testing.T) {
-	m, _, err := Train([]Entry{{Range: rules.Range{Lo: 100, Hi: 200}, Value: 7}}, smallConfig())
+	m, _, err := Train([]Entry{{Range: rules.Range{Lo: 100, Hi: 200}, Value: 7}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +122,7 @@ func TestLookupExhaustiveSmallUniverse(t *testing.T) {
 		{Range: rules.Range{Lo: 41, Hi: 41}, Value: 4},
 		{Range: rules.Range{Lo: 100, Hi: 120}, Value: 5},
 	}
-	m, _, err := Train(es, smallConfig())
+	m, _, err := Train(es, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +136,7 @@ func TestLookupRandomRanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 8; trial++ {
 		es := genEntries(rng, 200, 1<<24, 1<<20)
-		m, _, err := Train(es, smallConfig())
+		m, _, err := Train(es, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +173,7 @@ func TestLookupRandomRanges(t *testing.T) {
 func TestLookupThreeStages(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	es := genEntries(rng, 1500, 1<<20, 1<<16)
-	cfg := smallConfig()
+	cfg := Config{}
 	cfg.StageWidths = []int{1, 4, 16}
 	m, stats, err := Train(es, cfg)
 	if err != nil {
@@ -231,7 +218,7 @@ func TestAdjacentRangesNoGap(t *testing.T) {
 		es[i] = Entry{Range: rules.Range{Lo: lo, Hi: hi}, Value: i}
 		lo = hi + 1
 	}
-	m, _, err := Train(es, smallConfig())
+	m, _, err := Train(es, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,46 +229,60 @@ func TestErrorBoundIsRespected(t *testing.T) {
 	// The stored per-leaf bound must cover the observed prediction error of
 	// every covered key we can feasibly probe.
 	rng := rand.New(rand.NewSource(5))
-	es := genEntries(rng, 300, 1<<22, 1<<18)
-	cfg := smallConfig()
-	cfg.SafetySlack = -1 // store the exact measured bound
-	m, _, err := Train(es, cfg)
-	if err != nil {
-		t.Fatal(err)
+	inputs := [][]Entry{
+		genEntries(rng, 300, 1<<22, 1<<18),
+		// Three entries a few keys apart at the bottom of the key space and
+		// two far above: a root that followed the steps exactly would need
+		// weights whose rounding noise reorders keys near a bucket
+		// boundary, and then propagate's responsibilities disagree with
+		// routing (maxWeight exists for this).
+		{
+			{Range: rules.Range{Lo: 0x1d, Hi: 0x1d}},
+			{Range: rules.Range{Lo: 0x22, Hi: 0x23}},
+			{Range: rules.Range{Lo: 0x28, Hi: 0x28}},
+			{Range: rules.Range{Lo: 0x97815644, Hi: 0x9783f172}},
+			{Range: rules.Range{Lo: 0x97b65320, Hi: 0x97b653a8}},
+		},
 	}
-	probe := func(k uint32) {
-		ti := -1
-		for i, e := range es {
-			if e.Range.Contains(k) {
-				ti = i
-				break
+	for n, es := range inputs {
+		m, _, err := Train(es, Config{SafetySlack: -1}) // store the exact measured bound
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe := func(k uint32) {
+			ti := -1
+			for i, e := range es {
+				if e.Range.Contains(k) {
+					ti = i
+					break
+				}
+			}
+			if ti < 0 {
+				return
+			}
+			// es is sorted by construction, so position == entry index.
+			leaf, pred := m.route(uint64(k))
+			d := pred - ti
+			if d < 0 {
+				d = -d
+			}
+			if int32(d) > m.errs[leaf] {
+				t.Fatalf("input %d, key %d: |pred-true| = %d exceeds leaf %d bound %d", n, k, d, leaf, m.errs[leaf])
 			}
 		}
-		if ti < 0 {
-			return
+		for _, e := range es {
+			probe(e.Range.Lo)
+			probe(e.Range.Hi)
 		}
-		// es is sorted by construction, so position == entry index.
-		leaf, pred := m.route(uint64(k))
-		d := pred - ti
-		if d < 0 {
-			d = -d
+		for i := 0; i < 20000; i++ {
+			probe(rng.Uint32())
 		}
-		if int32(d) > m.errs[leaf] {
-			t.Fatalf("key %d: |pred-true| = %d exceeds leaf %d bound %d", k, d, leaf, m.errs[leaf])
-		}
-	}
-	for _, e := range es {
-		probe(e.Range.Lo)
-		probe(e.Range.Hi)
-	}
-	for i := 0; i < 20000; i++ {
-		probe(rng.Uint32())
 	}
 }
 
 func TestSetValue(t *testing.T) {
 	es := []Entry{{Range: rules.Range{Lo: 5, Hi: 9}, Value: 1}}
-	m, _, err := Train(es, smallConfig())
+	m, _, err := Train(es, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,32 +292,77 @@ func TestSetValue(t *testing.T) {
 	}
 }
 
+// TestDeterministicTraining trains the same entries twice — with different
+// worker counts and seeds, neither of which may matter — and requires
+// identical submodels and bounds.
 func TestDeterministicTraining(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	es := genEntries(rng, 120, 1<<24, 1<<20)
-	cfg := smallConfig()
-	cfg.Workers = 4
-	m1, _, err := Train(es, cfg)
-	if err != nil {
-		t.Fatal(err)
+	adjacent := make([]Entry, 500)
+	for i := range adjacent {
+		adjacent[i] = Entry{Range: rules.Range{Lo: uint32(i * 7), Hi: uint32(i*7 + 6)}, Value: i}
 	}
-	m2, _, err := Train(es, cfg)
-	if err != nil {
-		t.Fatal(err)
+	inputs := map[string][]Entry{
+		"sparse":   genEntries(rng, 120, 1<<24, 1<<20),
+		"clusters": genEntries(rng, 3000, 1<<12, 1<<8),
+		"adjacent": adjacent,
 	}
-	for si := range m1.stages {
-		for j := range m1.stages[si] {
-			a, b := &m1.stages[si][j], &m2.stages[si][j]
-			for k := range a.w1 {
-				if a.w1[k] != b.w1[k] || a.b1[k] != b.b1[k] || a.w2[k] != b.w2[k] {
-					t.Fatalf("stage %d submodel %d differs between identical runs", si, j)
+	for name, es := range inputs {
+		m1, _, err := Train(es, Config{Workers: 1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2, _, err := Train(es, Config{Workers: 4, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for si := range m1.stages {
+			for j := range m1.stages[si] {
+				a, b := &m1.stages[si][j], &m2.stages[si][j]
+				same := a.b2 == b.b2 && a.inLo == b.inLo && a.inSpan == b.inSpan
+				for k := range a.w1 {
+					same = same && a.w1[k] == b.w1[k] && a.b1[k] == b.b1[k] && a.w2[k] == b.w2[k]
+				}
+				if !same {
+					t.Fatalf("%s: stage %d submodel %d differs between identical runs", name, si, j)
 				}
 			}
 		}
+		for j := range m1.errs {
+			if m1.errs[j] != m2.errs[j] {
+				t.Fatalf("%s: leaf %d error bound differs between identical runs", name, j)
+			}
+		}
 	}
-	for j := range m1.errs {
-		if m1.errs[j] != m2.errs[j] {
-			t.Fatalf("leaf %d error bound differs between identical runs", j)
+}
+
+// TestBenchRuleSetsMeetTarget trains every iSet of the benchmark's three
+// rule-sets with the engine's defaults and requires every model to meet the
+// paper's error threshold (§5.1).
+func TestBenchRuleSetsMeetTarget(t *testing.T) {
+	for _, c := range []struct {
+		profile string
+		size    int
+	}{{"acl1", 50000}, {"fw5", 20000}, {"ipc1", 20000}} {
+		prof, err := classbench.ProfileByName(c.profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := classbench.Generate(prof, c.size)
+		part := iset.Build(rs, iset.Options{MaxISets: 4, MinCoverage: 0.05})
+		for i, is := range part.ISets {
+			entries := make([]Entry, len(is.Positions))
+			for j, pos := range is.Positions {
+				entries[j] = Entry{Range: rs.Rules[pos].Fields[is.Field], Value: pos}
+			}
+			m, _, err := Train(entries, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(len(entries))
+			if m.MaxError() > cfg.TargetError+cfg.SafetySlack {
+				t.Errorf("%s-%d iSet %d (%d entries): max error %d exceeds target %d + slack %d",
+					c.profile, c.size, i, len(entries), m.MaxError(), cfg.TargetError, cfg.SafetySlack)
+			}
 		}
 	}
 }
@@ -324,7 +370,7 @@ func TestDeterministicTraining(t *testing.T) {
 func TestMemoryFootprint(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	es := genEntries(rng, 100, 1<<24, 1<<16)
-	m, _, err := Train(es, smallConfig())
+	m, _, err := Train(es, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +415,7 @@ func TestStageWidthsForSize(t *testing.T) {
 }
 
 func TestConfigRejectsBadFirstWidth(t *testing.T) {
-	cfg := smallConfig()
+	cfg := Config{}
 	cfg.StageWidths = []int{2, 4}
 	if _, _, err := Train([]Entry{{Range: rules.Range{Lo: 0, Hi: 1}}}, cfg); err == nil {
 		t.Error("first stage width != 1 should be rejected")
@@ -390,7 +436,7 @@ func TestTargetErrorZeroValueUsesDefault(t *testing.T) {
 func TestFullDomainSingleRange(t *testing.T) {
 	// One range covering the entire key space: every lookup hits.
 	es := []Entry{{Range: rules.FullRange(), Value: 42}}
-	m, _, err := Train(es, smallConfig())
+	m, _, err := Train(es, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +454,7 @@ func TestExactMatchEntries(t *testing.T) {
 		k := uint32(i * 1000003)
 		es[i] = Entry{Range: rules.ExactRange(k), Value: i}
 	}
-	m, _, err := Train(es, smallConfig())
+	m, _, err := Train(es, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

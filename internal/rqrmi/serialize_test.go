@@ -11,7 +11,7 @@ import (
 func TestSerializeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	es := genEntries(rng, 300, 1<<22, 1<<18)
-	cfg := smallConfig()
+	cfg := Config{}
 	cfg.StageWidths = []int{1, 4, 8}
 	m, _, err := Train(es, cfg)
 	if err != nil {
@@ -57,7 +57,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 // v1 so its proven bounds survive the round-trip bit for bit.
 func TestSerializeVersionSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	m, _, err := Train(genEntries(rng, 200, 1<<22, 1<<18), smallConfig())
+	m, _, err := Train(genEntries(rng, 200, 1<<22, 1<<18), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSerializeVersionSelection(t *testing.T) {
 }
 
 func TestSerializeEmptyModel(t *testing.T) {
-	m, _, err := Train(nil, smallConfig())
+	m, _, err := Train(nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestReadModelRejectsOverlappingEntries(t *testing.T) {
 	m, _, err := Train([]Entry{
 		{Range: rules.Range{Lo: 0, Hi: 10}, Value: 0},
 		{Range: rules.Range{Lo: 20, Hi: 30}, Value: 1},
-	}, smallConfig())
+	}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

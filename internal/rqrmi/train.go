@@ -2,23 +2,18 @@ package rqrmi
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
-
-	"nuevomatch/internal/nn"
 )
 
 // TrainStats reports what training did, feeding the Figure 15 experiment
 // (training time vs. error bound).
 type TrainStats struct {
-	Submodels    int
-	LeafRetrains int
+	Submodels int
 	// MaxError/MeanError are the stored per-leaf bounds (slack included).
 	MaxError  int
 	MeanError float64
-	Samples   int
 	Duration  time.Duration
 }
 
@@ -27,12 +22,12 @@ const maxKey = uint64(1)<<32 - 1
 
 // Train fits an RQ-RMI to the given non-overlapping ranges following §3.5:
 // stage by stage, computing each submodel's responsibility analytically from
-// the trained submodels of the previous stage, generating its training set
-// by uniform sampling of the responsibility, and — for leaves — computing
-// the worst-case error bound and retraining with doubled samples while the
-// bound exceeds cfg.TargetError.
+// the fitted submodels of the previous stage, fitting the submodel to the
+// index staircase of the entries that responsibility overlaps (fit.go), and
+// — for leaves — computing the exact worst-case error bound.
 //
-// Training is deterministic for a fixed Config, regardless of Workers.
+// Training is deterministic: the same entries and Config give the same
+// model, regardless of Workers.
 func Train(entries []Entry, cfg Config) (*Model, *TrainStats, error) {
 	start := time.Now()
 	es, err := validateEntries(entries)
@@ -87,31 +82,26 @@ func Train(entries []Entry, cfg Config) (*Model, *TrainStats, error) {
 			m.errs = make([]int32, widths[si])
 		}
 
-		// Train all submodels of the stage in parallel; every submodel's
-		// randomness derives from (Seed, stage, index, attempt), so the
-		// result is independent of scheduling.
+		// Fit all submodels of the stage in parallel; each fit depends only
+		// on its own responsibility, so the result is independent of
+		// scheduling.
 		var wg sync.WaitGroup
 		sem := make(chan struct{}, cfg.Workers)
-		var mu sync.Mutex
 		for j := 0; j < widths[si]; j++ {
 			wg.Add(1)
 			sem <- struct{}{}
 			go func(j int) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				sub, errBound, retrains, samples := t.trainSubmodel(si, j, resp[j], isLeaf)
+				sub, errBound := t.fitSubmodel(resp[j], isLeaf)
 				m.stages[si][j] = sub
-				mu.Lock()
-				stats.Submodels++
-				stats.Samples += samples
 				if isLeaf {
 					m.errs[j] = errBound
-					stats.LeafRetrains += retrains
 				}
-				mu.Unlock()
 			}(j)
 		}
 		wg.Wait()
+		stats.Submodels += widths[si]
 
 		if !isLeaf {
 			for j := 0; j < widths[si]; j++ {
@@ -140,119 +130,63 @@ type trainer struct {
 	model *Model
 }
 
-// trainSubmodel fits one submodel on its responsibility. For leaves it runs
-// the sample-doubling loop of Figure 5 and returns the stored error bound;
-// for internal submodels errBound is 0.
-func (t *trainer) trainSubmodel(stage, idx int, resp []kinterval, isLeaf bool) (sub submodel, errBound int32, retrains, samples int) {
+// fitSubmodel fits one submodel to its responsibility (see fit.go) and,
+// for leaves, returns the stored error bound: the exact worst case of
+// Theorem A.13 over the float32-rounded weights, plus the safety slack. For
+// internal submodels errBound is 0.
+func (t *trainer) fitSubmodel(resp []kinterval, isLeaf bool) (sub submodel, errBound int32) {
+	n := len(t.model.entries)
 	h, ok := hull(resp)
 	if !ok {
-		// Unreachable submodel: no input routes here. Keep an identity
+		// Unreachable submodel: no input routes here. Keep a constant
 		// placeholder with a zero bound.
-		rng := rand.New(rand.NewSource(t.seed(stage, idx, 0)))
-		net := nn.New(t.cfg.Hidden, rng)
-		sub := submodel{
-			w1: net.W1, b1: net.B1, w2: net.W2, b2: net.B2,
-			inLo: 0, inSpan: 1,
-		}
-		sub.roundParamsF32()
-		return sub, 0, 0, 0
+		return t.constant(0, 0, 1), 0
 	}
-
-	overlap := t.overlapCount(resp)
-	want := 2 * overlap
-	if want < t.cfg.MinSamples {
-		want = t.cfg.MinSamples
-	}
-	if want > t.cfg.MaxSamples {
-		want = t.cfg.MaxSamples
-	}
-
-	epochs := t.cfg.InternalEpochs
-	if isLeaf {
-		epochs = t.cfg.LeafEpochs
-	}
-
-	// The network is trained in the submodel's normalized input space
-	// u = (x - inLo)/inSpan — the same affine transform eval applies — so
-	// the near-identity initialization starts close to the local CDF no
-	// matter how narrow the responsibility is.
-	inLo := float64(h.lo) * scale
-	inSpan := (float64(h.hi) - float64(h.lo)) * scale
+	// The function is fitted in the submodel's normalized input space
+	// u = (x - inLo)/inSpan, the same affine transform eval applies. The
+	// normalization scalars are snapped to float32 first: the
+	// single-precision kernel (§4) stores them in float32, so the fit, the
+	// error analysis and the kernel all see the same inputs. scale itself is
+	// a power of two, so the fallback span survives the rounding.
+	inLo := float64(float32(float64(h.lo) * scale))
+	inSpan := float64(float32((float64(h.hi) - float64(h.lo)) * scale))
 	if inSpan <= 0 {
 		inSpan = scale
 	}
-	// Snap the normalization scalars to float32-representable values before
-	// generating samples: the single-precision kernel (§4) stores parameters
-	// in float32, and training in the exact affine space inference evaluates
-	// keeps the fit, the error analysis and the kernel aligned. scale itself
-	// is a power of two, so the fallback span survives the rounding.
-	inLo = float64(float32(inLo))
-	inSpan = float64(float32(inSpan))
-
-	var best submodel
-	var bestErr int32 = -1
-	attempts := t.cfg.MaxRetrain
+	st := newStaircase(resp, t.model.los, t.model.his, inLo, inSpan, t.cfg.Hidden)
+	if len(st.u) == 0 {
+		// Only gap keys route here: any function is exact. Aim at the
+		// entry after the hull so the keys stay near their neighbours.
+		next := sort.Search(n, func(i int) bool { return uint64(t.model.los[i]) > h.lo })
+		return t.constant(min(next, n-1), inLo, inSpan), 0
+	}
+	sub = fitStaircase(st, t.cfg.Hidden, n, t.cfg.TargetError)
+	// Round the weights to float32-representable values BEFORE computing
+	// responsibilities (propagate) and error bounds (leafMaxError): the
+	// analysis then proves its theorems about exactly the parameter values
+	// the float32 kernel loads, and serializing the model in single
+	// precision is lossless.
+	sub.roundParamsF32()
 	if !isLeaf {
-		attempts = 1
+		return sub, 0
 	}
-	for attempt := 0; attempt < attempts; attempt++ {
-		rng := rand.New(rand.NewSource(t.seed(stage, idx, attempt)))
-		// Uniform key sampling underweights dense clusters of narrow
-		// ranges (many indices in few keys), which is exactly where the
-		// error bound fails; retrain attempts therefore add every entry
-		// boundary in the responsibility — the steps of the staircase
-		// being learned — on top of the uniform samples.
-		xs, ys := t.sampleDataset(resp, want, isLeaf && attempt > 0)
-		if !isLeaf {
-			// Routing submodels determine the index balance of the next
-			// stage, so their fit must be good where the *index* mass is,
-			// not where the key mass is: blend in samples drawn uniformly
-			// over the entries of the responsibility.
-			ixs, iys := t.sampleIndexUniform(resp, want/2)
-			xs = append(xs, ixs...)
-			ys = append(ys, iys...)
-		}
-		samples += len(xs)
-		for i := range xs {
-			xs[i] = (xs[i] - inLo) / inSpan
-		}
-		net := nn.New(t.cfg.Hidden, rng)
-		nn.Train(net, xs, ys, nn.TrainConfig{Epochs: epochs, LR: t.cfg.LR})
-		cand := submodel{
-			w1: net.W1, b1: net.B1, w2: net.W2, b2: net.B2,
-			inLo: inLo, inSpan: inSpan,
-		}
-		// Round the trained weights to float32-representable values BEFORE
-		// computing responsibilities (propagate) and error bounds
-		// (leafMaxError): the analysis then proves its theorems about
-		// exactly the parameter values the float32 kernel loads, and
-		// serializing the model in single precision is lossless.
-		cand.roundParamsF32()
-		if !isLeaf {
-			return cand, 0, 0, samples
-		}
-		e := cand.leafMaxError(resp, t.model.los, t.model.his)
-		if bestErr < 0 || e < bestErr {
-			best, bestErr = cand, e
-		}
-		if int(bestErr) <= t.cfg.TargetError {
-			break
-		}
-		retrains++
-		want *= 2
-		if want > t.cfg.MaxSamples {
-			want = t.cfg.MaxSamples
-		}
-		// Cap at the number of keys actually available.
-		if tk := totalKeys(resp); tk < uint64(want) {
-			want = int(tk)
-		}
-	}
-	stored := bestErr + int32(t.cfg.SafetySlack)
-	if lim := int32(len(t.model.entries)); stored > lim {
+	stored := sub.leafMaxError(resp, t.model.los, t.model.his) + int32(t.cfg.SafetySlack)
+	if lim := int32(n); stored > lim {
 		stored = lim
 	}
-	return best, stored, retrains, samples
+	return sub, stored
+}
+
+// constant returns a submodel predicting index idx everywhere.
+func (t *trainer) constant(idx int, inLo, inSpan float64) submodel {
+	h := t.cfg.Hidden
+	sub := submodel{
+		w1: make([]float64, h), b1: make([]float64, h), w2: make([]float64, h),
+		b2:   (float64(idx) + 0.5) / float64(max(len(t.model.entries), 1)),
+		inLo: inLo, inSpan: inSpan,
+	}
+	sub.roundParamsF32()
+	return sub
 }
 
 // roundParamsF32 rounds every parameter to its nearest float32 value (still
@@ -267,168 +201,4 @@ func (s *submodel) roundParamsF32() {
 	s.b2 = float64(float32(s.b2))
 	s.inLo = float64(float32(s.inLo))
 	s.inSpan = float64(float32(s.inSpan))
-}
-
-// seed derives a deterministic per-(stage, submodel, attempt) RNG seed.
-func (t *trainer) seed(stage, idx, attempt int) int64 {
-	s := uint64(t.cfg.Seed)
-	for _, v := range [3]uint64{uint64(stage), uint64(idx), uint64(attempt)} {
-		s ^= v + 0x9e3779b97f4a7c15 + (s << 6) + (s >> 2)
-	}
-	return int64(s)
-}
-
-// overlapCount returns the number of entries whose range intersects the
-// responsibility hull — a cheap proxy for how much structure the submodel
-// must learn, used to size the initial training set.
-func (t *trainer) overlapCount(resp []kinterval) int {
-	h, ok := hull(resp)
-	if !ok {
-		return 0
-	}
-	los := t.model.los
-	n := len(los)
-	first := sort.Search(n, func(i int) bool { return uint64(t.model.his[i]) >= h.lo })
-	last := sort.Search(n, func(i int) bool { return uint64(los[i]) > h.hi })
-	if last < first {
-		return 0
-	}
-	return last - first
-}
-
-// sampleDataset draws ~want evenly spaced keys from the responsibility
-// (§3.5.4): a sample is kept only when some entry contains it, so each range
-// contributes proportionally to its share of the responsibility. When
-// uniform placement yields too few matched samples — sparse ranges inside a
-// wide responsibility — the dataset is topped up with the boundary keys of
-// overlapping entries, which are exactly the steps of the function being
-// learned.
-func (t *trainer) sampleDataset(resp []kinterval, want int, allBoundaries bool) (xs, ys []float64) {
-	total := totalKeys(resp)
-	if total == 0 || want == 0 {
-		return nil, nil
-	}
-	if uint64(want) > total {
-		want = int(total)
-	}
-	n := float64(len(t.model.entries))
-	label := func(idx int) float64 { return (float64(idx) + 0.5) / n }
-
-	step := float64(total) / float64(want)
-	ivi := 0
-	consumed := uint64(0) // keys of resp before intervals[ivi]
-	for i := 0; i < want; i++ {
-		pos := uint64((float64(i) + 0.5) * step)
-		if pos >= total {
-			pos = total - 1
-		}
-		for pos-consumed >= resp[ivi].count() {
-			consumed += resp[ivi].count()
-			ivi++
-		}
-		key := resp[ivi].lo + (pos - consumed)
-		if idx := t.trueIdx(key); idx >= 0 {
-			xs = append(xs, float64(key)*scale)
-			ys = append(ys, label(idx))
-		}
-	}
-
-	// Add entry boundaries clipped into the responsibility: all of them on
-	// retrain attempts, or as a top-up when uniform sampling matched too
-	// few keys (sparse ranges in a wide responsibility).
-	budget := want
-	if !allBoundaries {
-		if len(xs) >= want/2 {
-			return xs, ys
-		}
-	} else {
-		budget = len(xs) + 2*len(t.model.entries)
-	}
-	for _, iv := range resp {
-		j := sort.Search(len(t.model.los), func(i int) bool { return uint64(t.model.los[i]) > iv.lo })
-		if j > 0 {
-			j--
-		}
-		for ; j < len(t.model.los) && uint64(t.model.los[j]) <= iv.hi; j++ {
-			for _, key := range [2]uint64{uint64(t.model.los[j]), uint64(t.model.his[j])} {
-				if key < iv.lo || key > iv.hi {
-					continue
-				}
-				if idx := t.trueIdx(key); idx >= 0 {
-					xs = append(xs, float64(key)*scale)
-					ys = append(ys, label(idx))
-				}
-			}
-			if len(xs) >= budget {
-				return xs, ys
-			}
-		}
-	}
-	return xs, ys
-}
-
-// sampleIndexUniform draws up to want samples spread evenly over the
-// *entries* overlapping the responsibility (one representative key per
-// sampled entry), complementing the key-uniform sampling of §3.5.4 where
-// narrow ranges carry many indices in few keys.
-func (t *trainer) sampleIndexUniform(resp []kinterval, want int) (xs, ys []float64) {
-	if want <= 0 {
-		return nil, nil
-	}
-	n := float64(len(t.model.entries))
-	label := func(idx int) float64 { return (float64(idx) + 0.5) / n }
-	total := t.overlapCount(resp)
-	stride := 1
-	if total > want {
-		stride = total / want
-	}
-	emitted := 0
-	for _, iv := range resp {
-		j := sort.Search(len(t.model.los), func(i int) bool { return uint64(t.model.los[i]) > iv.lo })
-		if j > 0 {
-			j--
-		}
-		for ; j < len(t.model.los) && uint64(t.model.los[j]) <= iv.hi; j += stride {
-			lo, hi := uint64(t.model.los[j]), uint64(t.model.his[j])
-			if lo < iv.lo {
-				lo = iv.lo
-			}
-			if hi > iv.hi {
-				hi = iv.hi
-			}
-			if lo > hi {
-				continue
-			}
-			key := lo + (hi-lo)/2
-			xs = append(xs, float64(key)*scale)
-			ys = append(ys, label(j))
-			emitted++
-			if emitted >= want {
-				return xs, ys
-			}
-		}
-	}
-	return xs, ys
-}
-
-// trueIdx returns the entry containing key, or -1.
-func (t *trainer) trueIdx(key uint64) int {
-	k := uint32(key)
-	los, his := t.model.los, t.model.his
-	lo, hi := 0, len(los)-1
-	if hi < 0 {
-		return -1
-	}
-	for lo < hi {
-		mid := int(uint(lo+hi+1) >> 1)
-		if los[mid] <= k {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	if los[lo] <= k && k <= his[lo] {
-		return lo
-	}
-	return -1
 }

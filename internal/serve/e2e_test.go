@@ -15,28 +15,9 @@ import (
 	"nuevomatch"
 	"nuevomatch/internal/classbench"
 	"nuevomatch/internal/faultinject"
-	"nuevomatch/internal/rqrmi"
 	"nuevomatch/internal/rules"
 	"nuevomatch/internal/serve"
 )
-
-// fastOpts trains small RQ-RMIs quickly — e2e tests exercise the serving
-// path, not model quality.
-func fastOpts() []nuevomatch.Option {
-	return []nuevomatch.Option{
-		nuevomatch.WithRQRMI(rqrmi.Config{
-			StageWidths:    []int{1, 4},
-			TargetError:    32,
-			MaxRetrain:     2,
-			MinSamples:     64,
-			MaxSamples:     1024,
-			InternalEpochs: 120,
-			LeafEpochs:     200,
-			Seed:           1,
-			Workers:        2,
-		}),
-	}
-}
 
 // genRules builds a ClassBench rule-set with unique priorities so the
 // linear reference and the engine agree exactly, not just by priority.
@@ -121,7 +102,7 @@ func TestServeE2EConformance(t *testing.T) {
 	}
 	rs := genRules(t, "acl1", size)
 	cluster, err := nuevomatch.OpenCluster(rs.Clone(),
-		nuevomatch.WithShards(2), nuevomatch.WithShardOptions(fastOpts()...))
+		nuevomatch.WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +173,13 @@ func TestServeDegradedUnderFaults(t *testing.T) {
 	maxPrio := int32(rs.Len() + 1)
 	persistPath := filepath.Join(t.TempDir(), "table.nm")
 
-	opts := append(fastOpts(),
+	table, err := nuevomatch.Open(rs.Clone(),
 		nuevomatch.WithAutopilot(nuevomatch.AutopilotPolicy{
 			MaxUpdates:     1,
 			Interval:       -1, // no watcher: Check() drives retrains deterministically
 			PersistRetries: -1,
 		}),
 		nuevomatch.WithAutopilotPersist(persistPath))
-	table, err := nuevomatch.Open(rs.Clone(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
