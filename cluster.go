@@ -264,7 +264,8 @@ func (c *Cluster) Delete(id int) error {
 
 // Modify replaces a rule's matching set or priority (delete + reinsert,
 // §3.9), re-routing the rule if its partition-field range moved across
-// shards.
+// shards. An invalid replacement is rejected with the old rule still in
+// place.
 func (c *Cluster) Modify(r Rule) error {
 	if c.closed.Load() {
 		return ErrClosed

@@ -586,7 +586,9 @@ func (c *Cluster) Insert(r rules.Rule) error {
 	return c.insertLocked(r)
 }
 
-func (c *Cluster) insertLocked(r rules.Rule) error {
+// checkRule rejects a rule no shard would accept, before any shard
+// changes.
+func (c *Cluster) checkRule(r rules.Rule) error {
 	if len(r.Fields) != c.NumFields() {
 		return fmt.Errorf("core: rule has %d fields, cluster expects %d", len(r.Fields), c.NumFields())
 	}
@@ -594,6 +596,13 @@ func (c *Cluster) insertLocked(r rules.Rule) error {
 		if !f.Valid() {
 			return fmt.Errorf("core: rule %d field %d has Lo %d > Hi %d", r.ID, d, f.Lo, f.Hi)
 		}
+	}
+	return nil
+}
+
+func (c *Cluster) insertLocked(r rules.Rule) error {
+	if err := c.checkRule(r); err != nil {
+		return err
 	}
 	if _, dup := c.shardsOf[r.ID]; dup {
 		return fmt.Errorf("core: duplicate rule ID %d", r.ID)
@@ -655,10 +664,14 @@ func (c *Cluster) deleteLocked(id int) error {
 }
 
 // Modify replaces a rule's matching set or priority: delete plus reinsert
-// (§3.9), re-routing the rule if its partition-field range moved.
+// (§3.9), re-routing the rule if its partition-field range moved. An
+// invalid replacement is rejected before the old rule is deleted.
 func (c *Cluster) Modify(r rules.Rule) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.checkRule(r); err != nil {
+		return err
+	}
 	if err := c.deleteLocked(r.ID); err != nil {
 		return err
 	}

@@ -246,6 +246,32 @@ func replicaSurplus(c *Cluster) int {
 	return surplus
 }
 
+// TestClusterModifyRejectsInvalidFirst checks that an invalid replacement
+// leaves the old rule in place on every shard instead of deleting it and
+// then failing the insert.
+func TestClusterModifyRejectsInvalidFirst(t *testing.T) {
+	rs := evenPriorityRules(t, "fw5", 300)
+	c, err := BuildCluster(rs, clusterTestOpts(2, PartitionRange))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	victim, p := hittableRule(t, rs, func(int) bool { return true })
+	bad := victim
+	bad.Fields = append([]rules.Range(nil), victim.Fields...)
+	bad.Fields[0] = rules.Range{Lo: 9, Hi: 3}
+	short := victim
+	short.Fields = victim.Fields[:len(victim.Fields)-1]
+	for _, r := range []rules.Rule{bad, short} {
+		if err := c.Modify(r); err == nil {
+			t.Fatalf("Modify accepted an invalid replacement %v", r.Fields)
+		}
+		if got := c.Lookup(p); got != victim.ID {
+			t.Fatalf("after a rejected Modify, Lookup = %d, want the old rule %d", got, victim.ID)
+		}
+	}
+}
+
 // TestClusterSpanningRules pins the replication invariant on handcrafted
 // rules that straddle the range partitioner's cut points: a spanner must be
 // present in every shard its range overlaps, win by priority from any of

@@ -155,14 +155,21 @@ type Engine struct {
 	live   map[int]bool   // rule ID -> not deleted
 	isets  []isetIndex
 	inISet map[int]isetEntry // rule ID -> iSet membership
-	// meta is the master copy of the per-position metadata; it is cloned
-	// before mutation once published (see deleteMetaLocked).
+	// meta is the per-position metadata, fixed at build and shared by
+	// every snapshot.
 	meta []ruleMeta
+	// liveBits is the master copy of the built rules' liveness bitset
+	// (liveBit's layout); it is cloned before mutation once published (see
+	// clearLiveLocked).
+	liveBits []byte
 	// fieldLo/fieldHi are the flat field bounds shared by all snapshots.
 	fieldLo, fieldHi []uint32
 
 	remainder      rules.Classifier
 	remainderRules *rules.RuleSet // current remainder content (for rebuild/stats)
+	// remPos maps each remainder rule ID to its index in
+	// remainderRules.Rules, so a delete swap-removes its rule in O(1).
+	remPos map[int]int
 	// remFrozen is the compiled form of the remainder (nil when the
 	// classifier is not rules.Freezable) and remOverlay the immutable delta
 	// of updates since that freeze; published snapshots share both, so they
@@ -171,8 +178,11 @@ type Engine struct {
 	remFrozen  rules.FrozenClassifier
 	remOverlay *remOverlay
 	// remIDs/remPrios are the remainder's (id, priority) table sorted by
-	// ID, shared with published snapshots and therefore maintained
-	// copy-on-write (updates.go).
+	// ID, shared with published snapshots and therefore never mutated in
+	// place. With a frozen remainder the table is as of the last freeze:
+	// refreezeRemainderLocked folds the overlay into it, and lookups consult
+	// the overlay first (remainderAdapter.prioOf). Without one it tracks
+	// every update (updates.go).
 	remIDs   []int
 	remPrios []int32
 
@@ -263,6 +273,7 @@ func Build(rs *rules.RuleSet, opts Options) (*Engine, error) {
 	e.stats.RemainderSize = len(part.Remainder)
 
 	e.remainderRules = e.rs.Subset(part.Remainder)
+	e.remPos = e.remainderRules.IndexByID()
 	rem, sel, err := buildRemainder(opts, e.remainderRules)
 	if err != nil {
 		return nil, fmt.Errorf("core: building remainder: %w", err)
@@ -279,11 +290,15 @@ func Build(rs *rules.RuleSet, opts Options) (*Engine, error) {
 }
 
 // refreezeRemainderLocked compiles the remainder's current contents into a
-// fresh frozen form and resets the overlay to empty. Called at build time
-// and whenever the overlay outgrows the compaction threshold. Non-freezable
-// remainders leave both nil and the snapshot falls back to calling the live
+// fresh frozen form, folds the overlay's delta into the (id, priority)
+// table and resets the overlay to empty. Called at build time and whenever
+// the overlay outgrows the compaction threshold. Non-freezable remainders
+// leave both nil and the snapshot falls back to calling the live
 // classifier.
 func (e *Engine) refreezeRemainderLocked() {
+	if e.remOverlay != nil {
+		e.remIDs, e.remPrios = e.remOverlay.foldInto(e.remIDs, e.remPrios)
+	}
 	if fz, ok := e.remainder.(rules.Freezable); ok {
 		e.remFrozen = fz.Freeze()
 		e.remOverlay = &remOverlay{numFields: e.rs.NumFields}
@@ -293,16 +308,18 @@ func (e *Engine) refreezeRemainderLocked() {
 }
 
 // flattenRules packs the built rules' metadata and field bounds into the
-// flat arrays the snapshots share.
+// flat arrays the snapshots share, and marks every rule live.
 func (e *Engine) flattenRules() {
 	n := e.rs.Len()
 	nf := e.rs.NumFields
 	e.meta = make([]ruleMeta, n)
+	e.liveBits = make([]byte, (n+7)/8)
 	e.fieldLo = make([]uint32, n*nf)
 	e.fieldHi = make([]uint32, n*nf)
 	for pos := range e.rs.Rules {
 		r := &e.rs.Rules[pos]
-		e.meta[pos] = ruleMeta{id: r.ID, prio: r.Priority, live: true}
+		e.meta[pos] = ruleMeta{id: r.ID, prio: r.Priority}
+		e.liveBits[pos/8] |= 1 << (pos % 8)
 		base := pos * nf
 		for d, f := range r.Fields {
 			e.fieldLo[base+d] = f.Lo
@@ -326,6 +343,7 @@ func (e *Engine) publishLocked() {
 	s := &snapshot{
 		numFields: e.rs.NumFields,
 		meta:      e.meta,
+		live:      e.liveBits,
 		fieldLo:   e.fieldLo,
 		fieldHi:   e.fieldHi,
 		isets:     e.isets,

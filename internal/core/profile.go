@@ -77,7 +77,7 @@ func (e *Engine) ProfileTrace(pkts []rules.Packet) (Profile, []int) {
 				continue
 			}
 			m := &s.meta[pos]
-			if m.live && m.prio < bestPrio && s.matches(pos, p) {
+			if m.prio < bestPrio && liveBit(s.live, pos) && s.matches(pos, p) {
 				best, bestPrio = m.id, m.prio
 			}
 		}

@@ -223,8 +223,8 @@ func replayJournal(fresh *Engine, journal []journalOp) error {
 		}
 	}
 
-	// Pass 2: deletions of pre-existing rules. iSet deletions mark the
-	// metadata dead — in place, legal only because no snapshot of fresh is
+	// Pass 2: deletions of pre-existing rules. iSet deletions clear the
+	// liveness bit — in place, legal only because no snapshot of fresh is
 	// live — and remainder deletions drop out of the classifier and the
 	// remainder rule list in one filter.
 	remDel := make(map[int]bool)
@@ -236,7 +236,8 @@ func replayJournal(fresh *Engine, journal []journalOp) error {
 			return fmt.Errorf("journal deletes unknown rule %d", n.id)
 		}
 		if _, inModel := fresh.inISet[n.id]; inModel {
-			fresh.meta[fresh.posID[n.id]].live = false
+			pos := fresh.posID[n.id]
+			fresh.liveBits[pos/8] &^= 1 << (pos % 8)
 			delete(fresh.inISet, n.id)
 		} else {
 			remDel[n.id] = true
@@ -287,8 +288,10 @@ func replayJournal(fresh *Engine, journal []journalOp) error {
 		fresh.live[r.ID] = true
 	}
 
-	// One bookkeeping rebuild instead of per-op copy-on-write: the sorted
-	// (id, priority) table and the frozen remainder are reconstructed once.
+	// One bookkeeping rebuild instead of per-op maintenance: the ID index,
+	// the sorted (id, priority) table and the frozen remainder are
+	// reconstructed once.
+	fresh.remPos = fresh.remainderRules.IndexByID()
 	fresh.remIDs, fresh.remPrios = sortedRemainderTable(fresh.remainderRules)
 	fresh.refreezeRemainderLocked()
 	fresh.ustats.Inserted += grossIns
@@ -311,9 +314,11 @@ func (e *Engine) adoptLocked(f *Engine) {
 	e.isets = f.isets
 	e.inISet = f.inISet
 	e.meta = f.meta
+	e.liveBits = f.liveBits
 	e.fieldLo, e.fieldHi = f.fieldLo, f.fieldHi
 	e.remainder = f.remainder
 	e.remainderRules = f.remainderRules
+	e.remPos = f.remPos
 	e.remFrozen, e.remOverlay = f.remFrozen, f.remOverlay
 	e.remIDs, e.remPrios = f.remIDs, f.remPrios
 	e.stats = f.stats

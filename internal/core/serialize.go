@@ -243,13 +243,7 @@ func (e *Engine) serializeTo(buf *bytes.Buffer) error {
 	if err := putRules(put, e.rs.Rules); err != nil {
 		return err
 	}
-	bitmap := make([]byte, (len(e.meta)+7)/8)
-	for pos := range e.meta {
-		if e.meta[pos].live {
-			bitmap[pos/8] |= 1 << (pos % 8)
-		}
-	}
-	if err := put(bitmap); err != nil {
+	if err := put(e.liveBits); err != nil {
 		return err
 	}
 
@@ -609,9 +603,13 @@ func assembleEngine(opts Options, rs *rules.RuleSet, liveBitmap []byte, isets []
 		ustats: ustats,
 	}
 	e.flattenRules()
-	for pos := range e.meta {
-		e.meta[pos].live = liveBitmap[pos/8]&(1<<(pos%8)) != 0
+	// The engine's liveness bitset has the codec's layout: adopt it, with
+	// the unused high bits of the last byte cleared so a re-save is
+	// canonical.
+	if n := rs.Len() % 8; n != 0 {
+		liveBitmap[len(liveBitmap)-1] &= 1<<n - 1
 	}
+	e.liveBits = liveBitmap
 
 	// Reconstruct iSet membership from the models: entry j of iSet i carries
 	// the built position it indexes (negative values are unindexed gaps);
@@ -633,7 +631,7 @@ func assembleEngine(opts Options, rs *rules.RuleSet, liveBitmap []byte, isets []
 			}
 			claimed[pos] = true
 			size++
-			if e.meta[pos].live {
+			if liveBit(e.liveBits, pos) {
 				e.inISet[rs.Rules[pos].ID] = isetEntry{iset: i, entry: j}
 			}
 		}
@@ -657,6 +655,7 @@ func assembleEngine(opts Options, rs *rules.RuleSet, liveBitmap []byte, isets []
 	}
 
 	e.remainderRules = remainderRules
+	e.remPos = remainderRules.IndexByID()
 	rem, err := opts.Remainder(remainderRules)
 	if err != nil {
 		return nil, fmt.Errorf("core: rebuilding remainder: %w", err)

@@ -20,26 +20,35 @@ import (
 
 // ruleMeta is the per-position metadata of one built rule, kept in a flat
 // array indexed by the rule's position in the build-time rule order. It
-// replaces the posID/prioID/live maps on the read path.
+// replaces the posID/prioID maps on the read path. It never changes after
+// build: liveness is the separate bitset, so a delete copies that instead.
 type ruleMeta struct {
 	id   int
 	prio int32
-	live bool
 }
 
+// liveBit reports whether built rule pos is live in a liveness bitset (bit
+// pos%8 of byte pos/8, the codec's layout).
+//
+//nm:hotpath
+func liveBit(bits []byte, pos int) bool { return bits[pos>>3]&(1<<(pos&7)) != 0 }
+
 // snapshot is one immutable engine state. Everything reachable from it is
-// either never mutated after publication (fieldLo/fieldHi, isets, the
-// frozen remainder and its overlay, adapter tables) or copied before
-// mutation (meta). The §3.9 online-update remainder is served by the
+// either never mutated after publication (meta, fieldLo/fieldHi, isets,
+// the frozen remainder and its overlay, adapter tables) or copied before
+// mutation (live). The §3.9 online-update remainder is served by the
 // compiled frozen form plus the update overlay, so steady-state lookups
 // never touch the live classifier's synchronization.
 //
 //nm:immutable
 type snapshot struct {
 	numFields int
-	// meta[pos] is the metadata of built rule pos; deletions publish a copy
-	// with live=false instead of tombstoning the shared model arrays.
+	// meta[pos] is the metadata of built rule pos, shared by every snapshot.
 	meta []ruleMeta
+	// live is the liveness bitset of the built rules (see liveBit);
+	// deletions publish a copy with the bit cleared instead of tombstoning
+	// the shared model arrays.
+	live []byte
 	// fieldLo/fieldHi are the rules' field bounds flattened with stride
 	// numFields: rule pos's range in dimension d is
 	// [fieldLo[pos*numFields+d], fieldHi[pos*numFields+d]]. Built once and
@@ -87,7 +96,7 @@ func (s *snapshot) isetCandidate(is *isetIndex, p rules.Packet, bestPrio int32) 
 		return 0, 0, false
 	}
 	m := &s.meta[pos]
-	if !m.live || m.prio >= bestPrio {
+	if m.prio >= bestPrio || !liveBit(s.live, pos) {
 		return 0, 0, false
 	}
 	if !s.matches(pos, p) {
@@ -155,7 +164,7 @@ func (s *snapshot) isetChunk(block []rules.Packet, keys *[rqrmi.BatchChunk]uint3
 				continue
 			}
 			m := &s.meta[pos]
-			if !m.live || m.prio >= bestPrio[c] {
+			if m.prio >= bestPrio[c] || !liveBit(s.live, pos) {
 				continue
 			}
 			if !s.matches(pos, block[c]) {
@@ -237,9 +246,9 @@ func (s *snapshot) lookupBatch(pkts []rules.Packet, out []int) {
 // are walked with deleted rules masked by the overlay's sorted skip list.
 // Otherwise it falls back to calling the live classifier with its
 // bound-support resolved once at publish time instead of by a per-call type
-// assertion. It also carries a sorted (id, priority) table of the current
-// remainder rules, so the priority comparisons of the merge paths are
-// binary searches over flat slices instead of map accesses.
+// assertion. It also carries a sorted (id, priority) table of the remainder
+// rules, so the priority comparisons of the merge paths are binary searches
+// over flat slices instead of map accesses.
 //
 //nm:immutable
 type remainderAdapter struct {
@@ -249,16 +258,18 @@ type remainderAdapter struct {
 	bounded  rules.BoundedClassifier      // nil when the classifier lacks bounds
 	batch    rules.BatchBoundedClassifier // nil when batched queries are unsupported
 	plain    rules.Classifier
-	ids      []int   // sorted remainder rule IDs
-	prios    []int32 // prios[i] is the priority of ids[i]
+	// ids/prios are the remainder's (id, priority) table sorted by ID: as
+	// of the freeze when overlay is non-nil (prioOf consults the overlay's
+	// additions first), the current remainder otherwise.
+	ids   []int
+	prios []int32
 }
 
 // newRemainderAdapter resolves the classifier's capabilities once at
 // publish time. frozen/overlay are the write side's current compiled
 // remainder and its delta (nil for non-freezable classifiers); ids/prios
-// are the engine's current (sorted, immutable) remainder table. All are
-// maintained copy-on-write by the write side so building an adapter is
-// O(1).
+// are the engine's (sorted, immutable) remainder table. All are maintained
+// copy-on-write by the write side so building an adapter is O(1).
 //
 //nm:builder remainderAdapter
 func newRemainderAdapter(c rules.Classifier, frozen rules.FrozenClassifier, overlay *remOverlay, ids []int, prios []int32) remainderAdapter {
@@ -294,10 +305,21 @@ func sortedRemainderTable(rr *rules.RuleSet) ([]int, []int32) {
 	return ids, prios
 }
 
-// prioOf returns the priority of remainder rule id via binary search.
+// prioOf returns the priority of remainder rule id, which the caller got
+// as a remainder winner. The overlay's additions are the only rules newer
+// than the table, so they are scanned first (at most the compaction
+// threshold); the table is then binary-searched. A rule deleted since the
+// freeze keeps its table entry, which is harmless: it is never a winner.
 //
 //nm:hotpath
 func (ra *remainderAdapter) prioOf(id int) (int32, bool) {
+	if ra.overlay != nil {
+		for i, aid := range ra.overlay.addID {
+			if aid == id {
+				return ra.overlay.addPrio[i], true
+			}
+		}
+	}
 	lo, hi := 0, len(ra.ids)-1
 	for lo <= hi {
 		mid := int(uint(lo+hi) >> 1)

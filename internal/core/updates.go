@@ -12,8 +12,9 @@ import (
 // RCU split:
 //
 //   - rule deletions of iSet-indexed rules are served by publishing a
-//     snapshot whose metadata marks the position dead (copy-on-write of the
-//     flat meta array — the shared RQ-RMI value arrays are never mutated);
+//     snapshot whose liveness bitset marks the position dead (copy-on-write
+//     of one bit per built rule — the shared RQ-RMI value arrays and the
+//     rule metadata are never mutated);
 //   - rule additions and matching-set changes always go to the remainder,
 //     which must support fast updates (TupleMerge does) and its own
 //     concurrent lookups;
@@ -31,7 +32,7 @@ type UpdateStats struct {
 	// Inserted counts rules added to the remainder since build.
 	Inserted int
 	// DeletedFromISets counts iSet rules marked dead in the snapshot
-	// metadata.
+	// liveness bitset.
 	DeletedFromISets int
 	// DeletedFromRemainder counts deletions served by the remainder.
 	DeletedFromRemainder int
@@ -69,44 +70,73 @@ func (e *Engine) updateStatsLocked() UpdateStats {
 func (e *Engine) Insert(r rules.Rule) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(r.Fields) != e.rs.NumFields {
-		return fmt.Errorf("core: rule has %d fields, engine expects %d", len(r.Fields), e.rs.NumFields)
-	}
-	for d, f := range r.Fields {
-		// Reject what Build's Validate would: an invalid live rule
-		// otherwise poisons every future Retrain while still being served.
-		if !f.Valid() {
-			return fmt.Errorf("core: rule %d field %d has Lo %d > Hi %d", r.ID, d, f.Lo, f.Hi)
-		}
+	if err := e.checkRuleLocked(r); err != nil {
+		return err
 	}
 	if _, dup := e.prioID[r.ID]; dup {
 		return fmt.Errorf("core: duplicate rule ID %d", r.ID)
 	}
+	if err := e.insertLocked(r); err != nil {
+		return err
+	}
+	e.publishLocked()
+	return nil
+}
+
+// checkRuleLocked rejects what Build's Validate would: an invalid live rule
+// otherwise poisons every future Retrain while still being served.
+func (e *Engine) checkRuleLocked(r rules.Rule) error {
+	if len(r.Fields) != e.rs.NumFields {
+		return fmt.Errorf("core: rule has %d fields, engine expects %d", len(r.Fields), e.rs.NumFields)
+	}
+	for d, f := range r.Fields {
+		if !f.Valid() {
+			return fmt.Errorf("core: rule %d field %d has Lo %d > Hi %d", r.ID, d, f.Lo, f.Hi)
+		}
+	}
+	return nil
+}
+
+// updatableLocked returns the remainder's update interface.
+func (e *Engine) updatableLocked() (rules.Updatable, error) {
 	upd, ok := e.remainder.(rules.Updatable)
 	if !ok {
-		return fmt.Errorf("core: remainder classifier %q does not support updates", e.remainder.Name())
+		return nil, fmt.Errorf("core: remainder classifier %q does not support updates", e.remainder.Name())
+	}
+	return upd, nil
+}
+
+// insertLocked adds the checked, non-duplicate rule r to the remainder and
+// journals it, without publishing. It costs O(rule): the rule is appended
+// to the remainder list and the overlay, and the ID table waits for the
+// next compaction.
+func (e *Engine) insertLocked(r rules.Rule) error {
+	upd, err := e.updatableLocked()
+	if err != nil {
+		return err
 	}
 	if err := upd.Insert(r); err != nil {
 		return err
 	}
+	e.remPos[r.ID] = len(e.remainderRules.Rules)
 	e.remainderRules.Add(r)
-	e.insertRemainderEntryLocked(r.ID, r.Priority)
 	if e.remOverlay != nil {
 		e.remOverlay = e.remOverlay.withAdd(r)
 		e.maybeCompactOverlayLocked()
+	} else {
+		e.insertRemainderEntryLocked(r.ID, r.Priority)
 	}
 	e.prioID[r.ID] = r.Priority
 	e.live[r.ID] = true
 	e.ustats.Inserted++
 	e.journalInsertLocked(r)
-	e.publishLocked()
 	return nil
 }
 
 // maybeCompactOverlayLocked re-freezes the remainder once the overlay delta
 // outgrows the threshold, folding additions into the compiled tables and
-// retiring the deletion skip list. Amortized cost per update is
-// O(remainder/threshold); the copy-on-write discipline means snapshots
+// retiring the deletion skip list. The O(remainder) compaction thus runs
+// once per threshold updates; the copy-on-write discipline means snapshots
 // published before the compaction stay valid.
 func (e *Engine) maybeCompactOverlayLocked() {
 	if e.remOverlay.size() > overlayCompactThreshold {
@@ -117,6 +147,8 @@ func (e *Engine) maybeCompactOverlayLocked() {
 
 // insertRemainderEntryLocked adds (id, prio) to the sorted remainder table
 // via copy-on-write: published snapshots keep referencing the old arrays.
+// Only the non-freezable fallback, which has no overlay to defer to, pays
+// this O(remainder) copy per update.
 func (e *Engine) insertRemainderEntryLocked(id int, prio int32) {
 	i := sort.SearchInts(e.remIDs, id)
 	ids := make([]int, len(e.remIDs)+1)
@@ -131,7 +163,7 @@ func (e *Engine) insertRemainderEntryLocked(id int, prio int32) {
 }
 
 // removeRemainderEntryLocked removes id from the sorted remainder table via
-// copy-on-write.
+// copy-on-write (the non-freezable fallback, as above).
 func (e *Engine) removeRemainderEntryLocked(id int) {
 	i := sort.SearchInts(e.remIDs, id)
 	if i >= len(e.remIDs) || e.remIDs[i] != id {
@@ -147,69 +179,104 @@ func (e *Engine) removeRemainderEntryLocked(id int) {
 }
 
 // Delete removes a rule by ID. Rules indexed by an RQ-RMI are marked dead in
-// a copy of the snapshot metadata — no retraining and no mutation of shared
-// model arrays — and remainder rules are deleted from the external
-// classifier directly.
+// a copy of the snapshot's liveness bitset — no retraining and no mutation
+// of shared model arrays — and remainder rules are deleted from the
+// external classifier directly.
 func (e *Engine) Delete(id int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.live[id] {
 		return fmt.Errorf("core: no live rule with ID %d", id)
 	}
+	if err := e.deleteLocked(id); err != nil {
+		return err
+	}
+	e.publishLocked()
+	return nil
+}
+
+// deleteLocked removes the live rule id and journals it, without
+// publishing.
+func (e *Engine) deleteLocked(id int) error {
 	if _, inModel := e.inISet[id]; inModel {
-		e.deleteMetaLocked(e.posID[id])
+		e.clearLiveLocked(e.posID[id])
 		delete(e.inISet, id)
 		e.ustats.DeletedFromISets++
 	} else {
-		upd, ok := e.remainder.(rules.Updatable)
-		if !ok {
-			return fmt.Errorf("core: remainder classifier %q does not support updates", e.remainder.Name())
+		upd, err := e.updatableLocked()
+		if err != nil {
+			return err
 		}
 		if err := upd.Delete(id); err != nil {
 			return err
 		}
-		e.removeRemainderRule(id)
+		e.removeRemainderRuleLocked(id)
 		if e.remOverlay != nil {
 			e.remOverlay = e.remOverlay.withDelete(id)
 			e.maybeCompactOverlayLocked()
+		} else {
+			e.removeRemainderEntryLocked(id)
 		}
 		e.ustats.DeletedFromRemainder++
 	}
 	delete(e.prioID, id)
 	delete(e.live, id)
 	e.journalDeleteLocked(id)
-	e.publishLocked()
 	return nil
 }
 
-// deleteMetaLocked marks built rule pos dead via copy-on-write: published
-// snapshots keep referencing the old array, so concurrent readers never
-// observe a torn write.
-func (e *Engine) deleteMetaLocked(pos int) {
-	meta := make([]ruleMeta, len(e.meta))
-	copy(meta, e.meta)
-	meta[pos].live = false
-	e.meta = meta
+// clearLiveLocked marks built rule pos dead via copy-on-write of the
+// liveness bitset (n/8 bytes): published snapshots keep referencing the old
+// bitset, so concurrent readers never observe a torn write.
+func (e *Engine) clearLiveLocked(pos int) {
+	bits := make([]byte, len(e.liveBits))
+	copy(bits, e.liveBits)
+	bits[pos/8] &^= 1 << (pos % 8)
+	e.liveBits = bits
+}
+
+// removeRemainderRuleLocked swap-removes rule id from the remainder list:
+// the last rule takes its slot. The list order stays a deterministic
+// function of the update sequence, which Save and Retrain's input follow.
+func (e *Engine) removeRemainderRuleLocked(id int) {
+	i, ok := e.remPos[id]
+	if !ok {
+		return
+	}
+	rr := e.remainderRules
+	last := len(rr.Rules) - 1
+	if i != last {
+		rr.Rules[i] = rr.Rules[last]
+		e.remPos[rr.Rules[i].ID] = i
+	}
+	rr.Rules[last] = rules.Rule{}
+	rr.Rules = rr.Rules[:last]
+	delete(e.remPos, id)
 }
 
 // Modify changes a rule's matching set or priority: per §3.9 this is a
-// delete followed by an insert into the remainder.
+// delete followed by an insert into the remainder. The replacement is
+// checked before anything changes, and both halves publish as one
+// snapshot, so readers see either the old rule or the new one. The journal
+// still records a delete and an insert, which Retrain's replay expects.
 func (e *Engine) Modify(r rules.Rule) error {
-	if err := e.Delete(r.ID); err != nil {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.live[r.ID] {
+		return fmt.Errorf("core: no live rule with ID %d", r.ID)
+	}
+	if err := e.checkRuleLocked(r); err != nil {
 		return err
 	}
-	return e.Insert(r)
-}
-
-func (e *Engine) removeRemainderRule(id int) {
-	e.removeRemainderEntryLocked(id)
-	rr := e.remainderRules
-	for i := range rr.Rules {
-		if rr.Rules[i].ID == id {
-			rr.Rules = append(rr.Rules[:i], rr.Rules[i+1:]...)
-			return
-		}
+	if _, err := e.updatableLocked(); err != nil {
+		return err
 	}
+	if err := e.deleteLocked(r.ID); err != nil {
+		return err
+	}
+	err := e.insertLocked(r)
+	e.publishLocked()
+	return err
 }
 
 // LiveRuleSet snapshots the current live rules (build survivors plus

@@ -368,7 +368,8 @@ func (t *Table) Delete(id int) error {
 }
 
 // Modify replaces a rule's matching set or priority (delete + reinsert,
-// §3.9).
+// §3.9). An invalid replacement is rejected with the old rule still in
+// place, and readers see the old rule or the new one, never neither.
 func (t *Table) Modify(r Rule) error {
 	if t.closed.Load() {
 		return ErrClosed
