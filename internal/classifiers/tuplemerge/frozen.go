@@ -1,6 +1,7 @@
 package tuplemerge
 
 import (
+	"math/bits"
 	"unsafe"
 
 	"nuevomatch/internal/classifiers/tuplehash"
@@ -25,22 +26,17 @@ import (
 //nm:immutable
 type Frozen struct {
 	numFields int
-	numTables int
 
-	// Per-table arrays, index ti in [0, numTables). Tuples are flattened
-	// with stride numFields.
-	tLens []uint8  // table ti's tuple is tLens[ti*numFields : (ti+1)*numFields]
-	tPrio []int32  // best (lowest) priority stored in table ti
-	tOcc  []uint64 // 64-bit occupancy filter over hash low bits
-
-	// Per-table open-addressed bucket directory. Table ti's slots are
-	// [tSlotOff[ti], tSlotOff[ti+1]); the slot count is a power of two
-	// sized for <= 1/2 load. A slot is free iff slotLen is zero (frozen
-	// buckets are non-empty by construction), which terminates probes.
-	tSlotOff  []int32
-	slotHash  []uint64
-	slotStart []int32 // offset into entries
-	slotLen   []int32 // 0 marks a free slot
+	// tabs holds one header per table, ascending by best priority.
+	tabs []ftable
+	// masks holds table ti's per-field masks at [ti*numFields,
+	// (ti+1)*numFields): the top n bits set for tuple length n, so a
+	// zero-length field's mask is zero.
+	masks []uint32
+	// filter holds every table's bucket-hash filter (see ftable).
+	filter []uint64
+	// slots holds every table's open-addressed bucket directory.
+	slots []slot
 
 	// entries holds each bucket's rule indices contiguously, ascending by
 	// priority within the bucket.
@@ -57,6 +53,35 @@ type Frozen struct {
 	// are big enough that PrefetchBatch plausibly beats the cost of the
 	// extra hash pass (see prefetchMinDirBytes).
 	prefetchWorth bool
+}
+
+// ftable is one frozen table's header.
+type ftable struct {
+	// seed is the XOR of tuplehash.MixField(d, 0) over the tuple's
+	// zero-length fields. Hashing every field under the masks mixes those
+	// fields in as zeros; starting from seed cancels them, so the hash is
+	// bit-equal to tuplehash.HashPacket and the live bucket hashes carry
+	// over unchanged.
+	seed uint64
+	prio int32 // best (lowest) priority stored in the table
+	// The directory is slots[slotOff : slotOff+slotMask+1]; its slot count
+	// is a power of two sized for <= 1/2 load.
+	slotOff  int32
+	slotMask uint32
+	// The filter is a bitmap at filter[filtOff:] of at least 8 bits per
+	// bucket, a power of two of them: a bucket with hash h can exist only
+	// if bit h>>filtShift is set. Its index comes from the hash's high bits,
+	// the directory's home slot from the low bits.
+	filtOff   int32
+	filtShift uint32
+}
+
+// slot is one directory entry: a bucket's hash and its span of entries, so
+// a probe reads one 16-byte slot. Frozen buckets are non-empty, so n == 0
+// marks a free slot, which ends a probe.
+type slot struct {
+	h        uint64
+	start, n int32
 }
 
 var _ rules.FrozenClassifier = (*Frozen)(nil)
@@ -80,51 +105,57 @@ func (c *Classifier) Freeze() rules.FrozenClassifier {
 	f.rID = make([]int, 0, nRules)
 	f.rLo = make([]uint32, 0, nRules*f.numFields)
 	f.rHi = make([]uint32, 0, nRules*f.numFields)
-	f.tSlotOff = append(f.tSlotOff, 0)
 
+	type bucket struct {
+		h uint64
+		b []int32
+	}
+	var buckets []bucket
 	for _, t := range c.tables {
 		// Collect the table's non-empty buckets.
-		type bucket struct {
-			h uint64
-			b []int32
-		}
-		var buckets []bucket
-		live := 0
+		buckets = buckets[:0]
 		for i, b := range t.buckets.bs {
-			if b != nil && len(b) > 0 {
+			if len(b) > 0 {
 				buckets = append(buckets, bucket{t.buckets.hs[i], b})
-				live += len(b)
 			}
 		}
-		if live == 0 {
+		if len(buckets) == 0 {
 			continue // table emptied by deletions: drop it
 		}
-		ti := f.numTables
-		f.numTables++
-		f.tLens = append(f.tLens, t.lens...)
-		f.tPrio = append(f.tPrio, t.bestPrio)
-		f.tOcc = append(f.tOcc, 0)
-
-		slots := 4
-		for slots < 2*len(buckets) {
-			slots *= 2
+		nSlots, nBits := 4, 64
+		for nSlots < 2*len(buckets) {
+			nSlots *= 2
 		}
-		base := len(f.slotHash)
-		f.slotHash = append(f.slotHash, make([]uint64, slots)...)
-		f.slotStart = append(f.slotStart, make([]int32, slots)...)
-		f.slotLen = append(f.slotLen, make([]int32, slots)...)
-		f.tSlotOff = append(f.tSlotOff, int32(base+slots))
-
-		mask := uint64(slots - 1)
-		for _, bk := range buckets {
-			f.tOcc[ti] |= 1 << (bk.h & 63)
-			i := bk.h & mask
-			for f.slotLen[base+int(i)] != 0 {
-				i = (i + 1) & mask
+		for nBits < 8*len(buckets) {
+			nBits *= 2
+		}
+		ft := ftable{
+			prio:      t.bestPrio,
+			slotOff:   int32(len(f.slots)),
+			slotMask:  uint32(nSlots - 1),
+			filtOff:   int32(len(f.filter)),
+			filtShift: uint32(64 - bits.TrailingZeros(uint(nBits))),
+		}
+		for d, n := range t.lens {
+			m := ^uint32(0) << (32 - uint(n))
+			if m == 0 {
+				ft.seed ^= tuplehash.MixField(d, 0)
 			}
-			f.slotHash[base+int(i)] = bk.h
-			f.slotStart[base+int(i)] = int32(len(f.entries))
-			f.slotLen[base+int(i)] = int32(len(bk.b))
+			f.masks = append(f.masks, m)
+		}
+		f.slots = append(f.slots, make([]slot, nSlots)...)
+		f.filter = append(f.filter, make([]uint64, nBits/64)...)
+		dir := f.slots[ft.slotOff:]
+		filt := f.filter[ft.filtOff:]
+
+		for _, bk := range buckets {
+			fb := bk.h >> ft.filtShift
+			filt[fb>>6] |= 1 << (fb & 63)
+			i := bk.h & uint64(ft.slotMask)
+			for dir[i].n != 0 {
+				i = (i + 1) & uint64(ft.slotMask)
+			}
+			dir[i] = slot{h: bk.h, start: int32(len(f.entries)), n: int32(len(bk.b))}
 			for _, pos := range bk.b {
 				r := &c.rules[pos]
 				f.entries = append(f.entries, int32(len(f.rID)))
@@ -136,10 +167,12 @@ func (c *Classifier) Freeze() rules.FrozenClassifier {
 				}
 			}
 		}
+		f.tabs = append(f.tabs, ft)
 	}
-	if nt := min(f.numTables, prefetchTables); nt > 0 {
-		// 16 bytes of directory per slot (slotHash + slotStart + slotLen).
-		f.prefetchWorth = 16*int(f.tSlotOff[nt]) >= prefetchMinDirBytes
+	if nt := min(len(f.tabs), prefetchTables); nt > 0 {
+		last := f.tabs[nt-1]
+		dirSlots := int(last.slotOff) + int(last.slotMask) + 1
+		f.prefetchWorth = int(unsafe.Sizeof(slot{}))*dirSlots >= prefetchMinDirBytes
 	}
 	return f
 }
@@ -150,8 +183,8 @@ func (f *Frozen) Len() int { return len(f.rID) }
 // MemoryFootprint implements rules.FrozenClassifier: the actual byte size
 // of the compiled arrays.
 func (f *Frozen) MemoryFootprint() int {
-	return len(f.tLens) + 12*f.numTables + // tLens + tPrio + tOcc
-		4*len(f.tSlotOff) + 16*len(f.slotHash) + // directory
+	return int(unsafe.Sizeof(ftable{}))*len(f.tabs) + 4*len(f.masks) +
+		8*len(f.filter) + int(unsafe.Sizeof(slot{}))*len(f.slots) +
 		4*len(f.entries) +
 		12*len(f.rID) + // rPrio + rID (8 bytes on 64-bit)
 		4*len(f.rLo) + 4*len(f.rHi)
@@ -221,19 +254,37 @@ func (f *Frozen) scanBucket(start, n int32, p rules.Packet, bestPrio int32, skip
 	return best, bestPrio
 }
 
-// probe finds table ti's bucket for hash h, returning its entries span.
+// hash is tuplehash.HashPacket over the tuple whose masks are m and whose
+// header seed is seed, computed without a branch per field. p must have at
+// least len(m) fields.
 //
 //nm:hotpath
-func (f *Frozen) probe(ti int, h uint64) (start, n int32) {
-	base := f.tSlotOff[ti]
-	mask := uint64(f.tSlotOff[ti+1]-base) - 1
+func hash(seed uint64, m []uint32, p rules.Packet) uint64 {
+	p = p[:len(m)]
+	for d, mk := range m {
+		seed ^= tuplehash.MixField(d, p[d]&mk)
+	}
+	return tuplehash.Finish(seed)
+}
+
+// mayHold reports whether table t's filter admits a bucket with hash h;
+// false is a definite miss.
+//
+//nm:hotpath
+func (f *Frozen) mayHold(t *ftable, h uint64) bool {
+	i := h >> t.filtShift
+	return f.filter[int(t.filtOff)+int(i>>6)]&(1<<(i&63)) != 0
+}
+
+// probe finds table t's bucket for hash h, returning its entries span.
+//
+//nm:hotpath
+func (f *Frozen) probe(t *ftable, h uint64) (start, n int32) {
+	mask := uint64(t.slotMask)
 	for i := h & mask; ; i = (i + 1) & mask {
-		j := base + int32(i)
-		if f.slotLen[j] == 0 {
-			return 0, 0
-		}
-		if f.slotHash[j] == h {
-			return f.slotStart[j], f.slotLen[j]
+		s := f.slots[int(t.slotOff)+int(i)]
+		if s.n == 0 || s.h == h {
+			return s.start, s.n
 		}
 	}
 }
@@ -243,20 +294,21 @@ func (f *Frozen) probe(ti int, h uint64) (start, n int32) {
 //
 //nm:hotpath
 func (f *Frozen) Lookup(p rules.Packet, bestPrio int32, skip []int) int {
-	if len(p) < f.numFields {
+	nf := f.numFields
+	if len(p) < nf {
 		return rules.NoMatch
 	}
 	best := rules.NoMatch
-	nf := f.numFields
-	for ti := 0; ti < f.numTables; ti++ {
-		if f.tPrio[ti] >= bestPrio {
+	for ti := range f.tabs {
+		t := &f.tabs[ti]
+		if t.prio >= bestPrio {
 			break // tables ascend by best priority: nothing can win
 		}
-		h := tuplehash.HashPacket(p, f.tLens[ti*nf:ti*nf+nf])
-		if f.tOcc[ti]&(1<<(h&63)) == 0 {
+		h := hash(t.seed, f.masks[ti*nf:ti*nf+nf], p)
+		if !f.mayHold(t, h) {
 			continue // definite miss: skip the directory probe
 		}
-		start, n := f.probe(ti, h)
+		start, n := f.probe(t, h)
 		if n == 0 {
 			continue
 		}
@@ -282,10 +334,9 @@ const prefetchTables = 2
 const prefetchMinDirBytes = 1 << 20
 
 // PrefetchBatch implements rules.BatchPrefetcher: it hashes each packet
-// against the leading tables and issues PREFETCHT0 for the home slot's
-// directory lines, so when the engine's RQ-RMI inference on the same chunk
-// finishes, LookupBatch's probes land in warm cache. The occupancy filter
-// runs first — tOcc and the tuple lengths are a handful of hot lines — so
+// against the leading tables and issues PREFETCHT0 for the home slot, so
+// when the engine's RQ-RMI inference on the same chunk finishes,
+// LookupBatch's probes land in warm cache. The filter runs first, so
 // definite misses cost no prefetch slot. Pure hint: no state changes, no
 // allocation, and linear-probe continuations beyond the home slot simply
 // miss like they would have anyway. On builds without a prefetch
@@ -299,55 +350,46 @@ func (f *Frozen) PrefetchBatch(pkts []rules.Packet) {
 		return
 	}
 	nf := f.numFields
-	nt := f.numTables
-	if nt > prefetchTables {
-		nt = prefetchTables
-	}
-	for ti := 0; ti < nt; ti++ {
-		lens := f.tLens[ti*nf : ti*nf+nf]
-		occ := f.tOcc[ti]
-		base := f.tSlotOff[ti]
-		mask := uint64(f.tSlotOff[ti+1]-base) - 1
+	for ti := range f.tabs[:min(len(f.tabs), prefetchTables)] {
+		t := &f.tabs[ti]
+		m := f.masks[ti*nf : ti*nf+nf]
 		for _, p := range pkts {
 			if len(p) < nf {
 				continue
 			}
-			h := tuplehash.HashPacket(p, lens)
-			if occ&(1<<(h&63)) == 0 {
+			h := hash(t.seed, m, p)
+			if !f.mayHold(t, h) {
 				continue
 			}
-			j := base + int32(h&mask)
-			cpu.Prefetch(unsafe.Pointer(&f.slotHash[j]))
-			cpu.Prefetch(unsafe.Pointer(&f.slotLen[j]))
+			cpu.Prefetch(unsafe.Pointer(&f.slots[int(t.slotOff)+int(h&uint64(t.slotMask))]))
 		}
 	}
 }
 
 // LookupBatch implements rules.FrozenClassifier table-major: each table is
 // hashed and probed for every still-improvable packet before moving to the
-// next, so a chunk shares the table's tuple and directory while they are
-// cache-hot. The tables' ascending-priority order gives a whole-batch early
-// exit: once no packet's bound exceeds the table's best priority, no later
-// table can improve anything.
+// next, so a chunk shares the table's masks, filter and directory while they
+// are cache-hot. The tables' ascending-priority order gives a whole-batch
+// early exit: once no packet's bound exceeds the table's best priority, no
+// later table can improve anything.
 //
 //nm:hotpath
 func (f *Frozen) LookupBatch(pkts []rules.Packet, bounds []int32, skip []int, out []int) {
 	nf := f.numFields
-	for ti := 0; ti < f.numTables; ti++ {
-		tp := f.tPrio[ti]
-		lens := f.tLens[ti*nf : ti*nf+nf]
-		occ := f.tOcc[ti]
+	for ti := range f.tabs {
+		t := &f.tabs[ti]
+		m := f.masks[ti*nf : ti*nf+nf]
 		improvable := false
 		for c, p := range pkts {
-			if tp >= bounds[c] || len(p) < nf {
+			if t.prio >= bounds[c] || len(p) < nf {
 				continue
 			}
 			improvable = true
-			h := tuplehash.HashPacket(p, lens)
-			if occ&(1<<(h&63)) == 0 {
+			h := hash(t.seed, m, p)
+			if !f.mayHold(t, h) {
 				continue
 			}
-			start, n := f.probe(ti, h)
+			start, n := f.probe(t, h)
 			if n == 0 {
 				continue
 			}

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 
+	"nuevomatch/internal/classbench"
+	"nuevomatch/internal/classifiers/tuplehash"
 	"nuevomatch/internal/rules"
 )
 
@@ -218,4 +220,138 @@ func TestFrozenEmpty(t *testing.T) {
 	if got := f2.Lookup(p, math.MaxInt32, nil); got != rules.NoMatch {
 		t.Fatalf("emptied frozen Lookup = %d", got)
 	}
+}
+
+// driftedFW5 builds TupleMerge over ClassBench fw5 × n rules at even
+// priorities, then inserts nIns more fw5 rules at distinct random odd
+// priorities: the shape online drift leaves in the remainder. draw selects
+// the inserted rules and their priorities. It returns the classifier and
+// every rule it holds.
+func driftedFW5(tb testing.TB, n, nIns int, draw int64) (*Classifier, []rules.Rule) {
+	tb.Helper()
+	prof, err := classbench.ProfileByName("fw5")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rs := classbench.Generate(prof, n)
+	for i := range rs.Rules {
+		rs.Rules[i].Priority = int32(2 * (i + 1))
+	}
+	c := New(rs, DefaultConfig())
+	all := append([]rules.Rule(nil), rs.Rules...)
+	prof.Seed += 104729 + draw
+	slots := rand.New(rand.NewSource(prof.Seed)).Perm(n)
+	for i, r := range classbench.Generate(prof, nIns).Rules {
+		r.ID = 1<<24 + i
+		r.Priority = int32(2*slots[i] + 1)
+		if err := c.Insert(r); err != nil {
+			tb.Fatal(err)
+		}
+		all = append(all, r)
+	}
+	return c, all
+}
+
+// frozenTables returns the live tables Freeze kept (the non-empty ones),
+// indexed like the frozen tables.
+func frozenTables(t *testing.T, c *Classifier, f *Frozen) []*table {
+	t.Helper()
+	var out []*table
+	for _, tb := range c.tables {
+		if tb.entries > 0 {
+			out = append(out, tb)
+		}
+	}
+	if len(out) != len(f.tabs) {
+		t.Fatalf("frozen has %d tables, live %d non-empty", len(f.tabs), len(out))
+	}
+	return out
+}
+
+// splitClassifier builds a classifier whose low collision limit splits
+// buckets into tables with odd tuple lengths.
+func splitClassifier(t *testing.T) (*Classifier, *rules.RuleSet) {
+	t.Helper()
+	rs := randomRuleSet(rand.New(rand.NewSource(76)), 1500)
+	c := New(rs, Config{CollisionLimit: 4})
+	odd := false
+	for _, tb := range c.tables {
+		for _, n := range tb.lens {
+			odd = odd || n%2 == 1
+		}
+	}
+	if !odd {
+		t.Fatal("setup built no table with an odd tuple length")
+	}
+	return c, rs
+}
+
+// TestFrozenHashMatchesTupleHash checks the branch-free masked hash against
+// tuplehash.HashPacket for every table's tuple, split tables included.
+func TestFrozenHashMatchesTupleHash(t *testing.T) {
+	c, rs := splitClassifier(t)
+	f := c.Freeze().(*Frozen)
+	tabs := frozenTables(t, c, f)
+	rng := rand.New(rand.NewSource(77))
+	nf := f.numFields
+	for i := 0; i < 200; i++ {
+		p := randomPacket(rng, rs)
+		for ti, tb := range tabs {
+			got := hash(f.tabs[ti].seed, f.masks[ti*nf:ti*nf+nf], p)
+			if want := tuplehash.HashPacket(p, tb.lens); got != want {
+				t.Fatalf("table %d tuple %v packet %v: hash %#x, tuplehash %#x", ti, tb.lens, p, got, want)
+			}
+		}
+	}
+}
+
+// TestFrozenFilterHasNoFalseNegatives checks that every stored bucket hash
+// passes its table's filter and that the directory finds the bucket.
+func TestFrozenFilterHasNoFalseNegatives(t *testing.T) {
+	c, _ := splitClassifier(t)
+	drifted, _ := driftedFW5(t, 2000, 200, 1)
+	for _, c := range []*Classifier{c, drifted} {
+		f := c.Freeze().(*Frozen)
+		for ti, tb := range frozenTables(t, c, f) {
+			ft := &f.tabs[ti]
+			for i, b := range tb.buckets.bs {
+				if len(b) == 0 {
+					continue
+				}
+				h := tb.buckets.hs[i]
+				if !f.mayHold(ft, h) {
+					t.Fatalf("table %d: filter rejects stored bucket hash %#x", ti, h)
+				}
+				if _, n := f.probe(ft, h); int(n) != len(b) {
+					t.Fatalf("table %d: directory returns %d entries for a %d-rule bucket", ti, n, len(b))
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFrozenLookupBatchDrifted measures the frozen batch walk after
+// online inserts at random priorities (see driftedFW5), in batches of 128
+// with no incoming bound.
+func BenchmarkFrozenLookupBatchDrifted(b *testing.B) {
+	c, all := driftedFW5(b, 5000, 500, 1)
+	f := c.Freeze()
+	rng := rand.New(rand.NewSource(78))
+	pkts := make([]rules.Packet, 4096)
+	for i := range pkts {
+		pkts[i] = classbench.MatchingPacket(rng, &all[rng.Intn(len(all))])
+	}
+	const batch = 128
+	bounds := make([]int32, batch)
+	out := make([]int, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := i * batch % len(pkts)
+		for j := range bounds {
+			bounds[j] = math.MaxInt32
+		}
+		f.LookupBatch(pkts[off:off+batch], bounds, nil, out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pkt")
 }

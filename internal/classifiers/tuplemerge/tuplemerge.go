@@ -14,6 +14,16 @@
 //
 // The classifier supports online Insert/Delete (§3.9 of the NuevoMatch
 // paper relies on this for the remainder).
+//
+// One deviation from Daly et al.: they place a rule in the tightest
+// compatible table, whereas here it goes to the tightest compatible table
+// whose best priority already beats the rule's, if any. Tables are probed in
+// ascending best-priority order and a lookup stops at the first table that
+// cannot beat its bound (§4's early termination), so an online insert at a
+// low priority that lands in a table with a high bound would pull that
+// table forward and make every packet probe it. Offline construction
+// inserts in priority order, where every compatible table qualifies, so
+// built classifiers are the same as under the original rule.
 package tuplemerge
 
 import (
@@ -252,17 +262,24 @@ func (c *Classifier) Insert(r rules.Rule) error {
 	return nil
 }
 
-// place routes the rule at pos into the tightest compatible table, creating
-// a relaxed table when none fits, then enforces the collision limit.
+// place routes the rule at pos into a compatible table, creating a relaxed
+// table when none fits, then enforces the collision limit. Among compatible
+// tables it prefers the tightest one whose bestPrio already beats the rule,
+// so the insert lowers no table's bound; only when no such table exists
+// does it take the tightest compatible table.
 func (c *Classifier) place(pos int32) {
 	r := &c.rules[pos]
 	lens := tuplehash.Lens(r)
 	var best *table
+	bestFits := false
 	for _, t := range c.tables {
-		if tuplehash.CoversTuple(t.lens, lens) {
-			if best == nil || tuplehash.Sum(t.lens) > tuplehash.Sum(best.lens) {
-				best = t
-			}
+		if !tuplehash.CoversTuple(t.lens, lens) {
+			continue
+		}
+		fits := t.bestPrio <= r.Priority
+		if best == nil || fits && !bestFits ||
+			fits == bestFits && tuplehash.Sum(t.lens) > tuplehash.Sum(best.lens) {
+			best, bestFits = t, fits
 		}
 	}
 	if best == nil {

@@ -1,11 +1,14 @@
 package tuplemerge
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"nuevomatch/internal/classbench"
 	"nuevomatch/internal/classifiers/conformance"
 	"nuevomatch/internal/classifiers/tss"
+	"nuevomatch/internal/classifiers/tuplehash"
 	"nuevomatch/internal/rules"
 )
 
@@ -194,5 +197,106 @@ func TestSplitBucketKeepsPriorityOrder(t *testing.T) {
 	}
 	if got := c.Lookup(p); got != 2 {
 		t.Fatalf("Lookup = %d, want the buried rule 2", got)
+	}
+}
+
+// TestInsertKeepsTableBounds checks the priority-aware placement: an online
+// insert goes to a compatible table whose bestPrio already beats the rule,
+// even when a tighter compatible table exists, so no table's bound drops.
+func TestInsertKeepsTableBounds(t *testing.T) {
+	full := rules.FullRange()
+	rs := rules.NewRuleSet(5)
+	// Table (16,0,0,0,0) with bound 1.
+	rs.Add(rules.Rule{ID: 1, Priority: 1, Fields: []rules.Range{
+		rules.PrefixRange(0x0A000000, 16), full, full, full, full}})
+	// Table (0,16,0,16,0) with bound 50: tighter for the insert below.
+	rs.Add(rules.Rule{ID: 2, Priority: 50, Fields: []rules.Range{
+		full, rules.PrefixRange(0x0B000000, 16), full, rules.ExactRange(80), full}})
+	c := New(rs, DefaultConfig())
+	if c.NumTables() != 2 {
+		t.Fatalf("setup built %d tables, want 2", c.NumTables())
+	}
+	before := append([]int32(nil), c.prios...)
+
+	r := rules.Rule{ID: 3, Priority: 20, Fields: []rules.Range{
+		rules.PrefixRange(0x0C000000, 16), rules.PrefixRange(0x0B000000, 16),
+		full, rules.ExactRange(80), full}}
+	if err := c.Insert(r); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.whereIs[r.ID].t.bestPrio; got > r.Priority {
+		t.Fatalf("insert at priority %d landed in a table with bound %d", r.Priority, got)
+	}
+	for i, p := range c.prios {
+		if p != before[i] {
+			t.Fatalf("table bounds %v -> %v: the insert lowered a bound", before, c.prios)
+		}
+	}
+	if got := c.Lookup(rules.Packet{0x0C000001, 0x0B000001, 7, 80, 6}); got != r.ID {
+		t.Fatalf("Lookup = %d, want %d", got, r.ID)
+	}
+
+	// Random inserts: whenever a compatible table already beats the rule,
+	// no existing table's bound may drop.
+	rng := rand.New(rand.NewSource(12))
+	c = New(randomRuleSet(rng, 400), DefaultConfig())
+	for i, src := range randomRuleSet(rng, 300).Rules {
+		ins := rules.Rule{ID: 10000 + i, Priority: int32(rng.Intn(500)), Fields: src.Fields}
+		lens := tuplehash.Lens(&ins)
+		fits := false
+		prev := make(map[*table]int32, len(c.tables))
+		for _, tb := range c.tables {
+			prev[tb] = tb.bestPrio
+			fits = fits || tuplehash.CoversTuple(tb.lens, lens) && tb.bestPrio <= ins.Priority
+		}
+		if err := c.Insert(ins); err != nil {
+			t.Fatal(err)
+		}
+		if !fits {
+			continue
+		}
+		for tb, p := range prev {
+			if tb.bestPrio != p {
+				t.Fatalf("insert %d at priority %d lowered a table bound %d -> %d", i, ins.Priority, p, tb.bestPrio)
+			}
+		}
+	}
+}
+
+// TestDriftProbeCount bounds the frozen tables a lookup must visit once
+// online inserts at random priorities have landed. Under the tightest-table
+// rule such inserts lower most tables' best priority, so every lookup walks
+// far more tables before its bound stops it. Each packet's bound is its own
+// answer's priority: the remainder's position in the engine when the iSets
+// found the answer and the walk only proves that nothing beats it. The mean
+// is taken over twelve drift draws because one broad insert at a low
+// priority can decide a single draw.
+func TestDriftProbeCount(t *testing.T) {
+	const draws, pkts = 12, 4000
+	total := 0
+	for draw := int64(0); draw < draws; draw++ {
+		c, all := driftedFW5(t, 5000, 500, draw)
+		f := c.Freeze().(*Frozen)
+		prio := make(map[int]int32, len(all))
+		for _, r := range all {
+			prio[r.ID] = r.Priority
+		}
+		rng := rand.New(rand.NewSource(13))
+		for i := 0; i < pkts; i++ {
+			p := classbench.MatchingPacket(rng, &all[rng.Intn(len(all))])
+			bound := int32(math.MaxInt32)
+			if id := f.Lookup(p, bound, nil); id >= 0 {
+				bound = prio[id]
+			}
+			// Lookup hashes exactly the leading tables that could beat it.
+			for ti := 0; ti < len(f.tabs) && f.tabs[ti].prio < bound; ti++ {
+				total++
+			}
+		}
+	}
+	mean := float64(total) / (draws * pkts)
+	t.Logf("%.2f frozen tables visited per packet", mean)
+	if mean > 12 {
+		t.Fatalf("%.2f frozen tables visited per packet, want <= 12", mean)
 	}
 }
