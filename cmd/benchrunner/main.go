@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"nuevomatch/internal/analysis"
-	"nuevomatch/internal/rqrmi"
 )
 
 func main() {
@@ -42,16 +41,10 @@ func main() {
 		shards   = flag.Int("shards", 2, "cluster-experiment shard count recorded into the benchjson artifact (0 disables)")
 		serveCli = flag.Int("serve", 8, "serving-experiment client count recorded into the benchjson artifact (0 disables)")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		kernel   = flag.String("kernel", "auto", "rqrmi inference kernel: auto, go (pure-Go float32), asm (AVX2 assembly; errors when unsupported)")
 		remaind  = flag.String("remainder", "", "with -benchjson: remainder classifier name (tuplemerge(tm) | rvh | auto; default tuplemerge)")
 		minBatch = flag.Float64("minbatch", 0, "with -benchjson: exit non-zero unless batch_speedup >= this ratio (0 disables; the CI perf gate)")
 	)
 	flag.Parse()
-
-	if err := rqrmi.SetKernelMode(*kernel); err != nil {
-		fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
-		os.Exit(2)
-	}
 
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)

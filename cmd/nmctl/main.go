@@ -225,10 +225,8 @@ func cmdServe(args []string) {
 		persist   = fs.String("persist", "", "re-save the table here after every autopilot retrain")
 		verify    = fs.Bool("verify", false, "churn mode: verify every lookup against a linear reference")
 		seed      = fs.Int64("seed", 1, "random seed")
-		kernel    = fs.String("kernel", "auto", "rqrmi inference kernel: auto | go | asm (bit-identical; perf only)")
 	)
 	fs.Parse(args)
-	setKernel(*kernel)
 	if *load == "" {
 		fatal(fmt.Errorf("serve requires -load table.nm (or a cluster directory)"))
 	}
@@ -606,10 +604,8 @@ func cmdLegacy(args []string) {
 		maxFrac   = fs.Float64("retrain-remfrac", 0, "autopilot: retrain when the remainder fraction exceeds this (0 = policy default)")
 		verify    = fs.Bool("verify", false, "churn mode: verify every lookup against a linear reference")
 		seed      = fs.Int64("seed", 1, "random seed")
-		kernel    = fs.String("kernel", "auto", "rqrmi inference kernel: auto | go | asm (bit-identical; perf only)")
 	)
 	fs.Parse(args)
-	setKernel(*kernel)
 
 	rs, err := ruleSource(*rulesPath, *gen, *size)
 	if err != nil {
@@ -741,15 +737,6 @@ func readTrace(path string, numFields int) ([]rules.Packet, error) {
 		pkts = append(pkts, p)
 	}
 	return pkts, sc.Err()
-}
-
-// setKernel applies the -kernel override before any lookups run. The
-// kernels are bit-identical, so this is a performance choice; "asm" fails
-// fast here when the build or host cannot run the AVX2 kernel.
-func setKernel(mode string) {
-	if err := nuevomatch.SetKernelMode(mode); err != nil {
-		fatal(err)
-	}
 }
 
 func fatal(err error) {

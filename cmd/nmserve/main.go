@@ -51,14 +51,10 @@ func cmdServe(args []string) {
 		persist = fs.Bool("persist", false, "save the artifact back to -load on autopilot retrains and at shutdown")
 		maxUpd  = fs.Int("retrain-updates", 0, "autopilot: retrain after this many updates (0 = policy default)")
 		maxFrac = fs.Float64("retrain-remfrac", 0, "autopilot: retrain when the remainder fraction exceeds this (0 = policy default)")
-		kernel  = fs.String("kernel", "auto", "rqrmi inference kernel: auto | go | asm")
 	)
 	fs.Parse(args)
 	if *load == "" {
 		fatal(fmt.Errorf("nmserve requires -load table.nm (or a cluster directory)"))
-	}
-	if err := nuevomatch.SetKernelMode(*kernel); err != nil {
-		fatal(err)
 	}
 
 	loader := func() (serve.Backend, error) {

@@ -105,8 +105,8 @@ type MachineInfo struct {
 	// SIMDFeatures are the vector ISA extensions detected at startup
 	// (internal/cpu); empty on non-amd64 or noasm builds.
 	SIMDFeatures []string `json:"simd_features"`
-	// Kernel is the active RQ-RMI batched-inference kernel ("avx2" or
-	// "go-f32"), after any -kernel override.
+	// Kernel is the RQ-RMI batched-inference kernel the build and CPU
+	// selected ("avx2" or "go-f32").
 	Kernel string `json:"kernel"`
 }
 

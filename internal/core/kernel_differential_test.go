@@ -10,13 +10,13 @@ import (
 )
 
 // TestKernelDifferential builds one engine per ClassBench application
-// profile and replays the same trace through the batched lookup path under
-// every available inference kernel — the portable pure-Go float32 form and,
-// where the build and host support it, the AVX2 assembly — asserting that
-// each kernel reproduces the scalar path's verdict packet for packet. The
-// kernels are designed bit-identical (kernel32.go), so any disagreement
-// here is a kernel bug, not a tolerance issue. Under -short the sweep keeps
-// one profile per application family.
+// profile and replays the same trace through the batched lookup path,
+// asserting that the inference kernel the build and CPU selected — the AVX2
+// assembly on amd64 hosts with AVX2, the portable pure-Go float32 form on
+// every other host and under the noasm tag — reproduces the scalar path's
+// verdict packet for packet. The kernels are designed bit-identical
+// (kernel32.go), so any disagreement here is a kernel bug, not a tolerance
+// issue. Under -short the sweep keeps one profile per application family.
 func TestKernelDifferential(t *testing.T) {
 	profiles := classbench.Profiles()
 	size, probes := 300, 400
@@ -24,17 +24,8 @@ func TestKernelDifferential(t *testing.T) {
 		profiles = []classbench.Profile{profiles[0], profiles[5], profiles[10]}
 		size, probes = 150, 200
 	}
-	modes := []string{"go"}
-	if rqrmi.HasAsmKernel() {
-		modes = append(modes, "asm")
-	} else {
-		t.Log("assembly kernel unavailable: differential covers the Go kernel only")
-	}
-	defer func() {
-		if err := rqrmi.SetKernelMode("auto"); err != nil {
-			t.Fatalf("restoring kernel mode: %v", err)
-		}
-	}()
+	kernel := rqrmi.KernelName()
+	t.Logf("kernel under test: %s", kernel)
 	for pi, prof := range profiles {
 		t.Run(prof.Name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7000 + int64(pi)))
@@ -63,16 +54,11 @@ func TestKernelDifferential(t *testing.T) {
 				want[i] = e.Lookup(p)
 			}
 			out := make([]int, probes)
-			for _, mode := range modes {
-				if err := rqrmi.SetKernelMode(mode); err != nil {
-					t.Fatalf("SetKernelMode(%q): %v", mode, err)
-				}
-				e.LookupBatch(pkts, out)
-				for i := range out {
-					if out[i] != want[i] {
-						t.Fatalf("kernel %q: batch lookup %d = %d, scalar = %d (packet %v)",
-							mode, i, out[i], want[i], pkts[i])
-					}
+			e.LookupBatch(pkts, out)
+			for i := range out {
+				if out[i] != want[i] {
+					t.Fatalf("kernel %q: batch lookup %d = %d, scalar = %d (packet %v)",
+						kernel, i, out[i], want[i], pkts[i])
 				}
 			}
 		})

@@ -2,6 +2,8 @@ package rqrmi
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -21,6 +23,60 @@ func randomEntries(rng *rand.Rand, n int) []Entry {
 	return entries
 }
 
+// batchKernels lists the float32 kernels this build and host can run: the
+// pure-Go form always, the AVX2 assembly where available.
+func batchKernels() []bool {
+	if HasAsmKernel() {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// scalarEntries resolves keys one at a time through ref.LookupEntry, the
+// exact reference every batched form must reproduce.
+func scalarEntries(ref *Model, keys []uint32) []int32 {
+	want := make([]int32, len(keys))
+	for i, k := range keys {
+		want[i] = -1
+		if idx, ok := ref.LookupEntry(k); ok {
+			want[i] = int32(idx)
+		}
+	}
+	return want
+}
+
+// probeKeys returns n uniform random keys plus every entry's boundaries
+// (the worst case for the secondary search window).
+func probeKeys(rng *rand.Rand, entries []Entry, n int) []uint32 {
+	keys := make([]uint32, 0, n+2*len(entries))
+	for i := 0; i < n; i++ {
+		keys = append(keys, rng.Uint32())
+	}
+	for _, e := range entries {
+		keys = append(keys, e.Range.Lo, e.Range.Hi)
+	}
+	return keys
+}
+
+// checkF32Kernels runs m's float32 batched path under every available
+// kernel and demands it equal ref.LookupEntry key for key.
+func checkF32Kernels(t *testing.T, m, ref *Model, keys []uint32) {
+	t.Helper()
+	if m.flat32 == nil {
+		t.Fatal("model must have a float32 form")
+	}
+	want := scalarEntries(ref, keys)
+	out := make([]int32, len(keys))
+	for _, asm := range batchKernels() {
+		m.lookupEntryBatchF32(keys, out, asm)
+		for i, k := range keys {
+			if out[i] != want[i] {
+				t.Fatalf("asm=%v key %d: batch %d, scalar %d", asm, k, out[i], want[i])
+			}
+		}
+	}
+}
+
 func TestLookupEntryBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, n := range []int{1, 7, 100, 2000} {
@@ -29,30 +85,9 @@ func TestLookupEntryBatchMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.flat == nil {
-			t.Fatalf("n=%d: trained model must have flattened parameters", n)
-		}
-		// Keys: uniform random plus exact boundaries (worst case for the
-		// secondary search window).
-		keys := make([]uint32, 0, 4096)
-		for i := 0; i < 2048; i++ {
-			keys = append(keys, rng.Uint32())
-		}
-		for _, e := range entries {
-			keys = append(keys, e.Range.Lo, e.Range.Hi)
-		}
-		out := make([]int32, len(keys))
-		m.LookupEntryBatch(keys, out)
-		for i, k := range keys {
-			idx, ok := m.LookupEntry(k)
-			want := int32(-1)
-			if ok {
-				want = int32(idx)
-			}
-			if out[i] != want {
-				t.Fatalf("n=%d key %d: batch %d, scalar %d", n, k, out[i], want)
-			}
-		}
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			checkF32Kernels(t, m, m, probeKeys(rng, entries, 2048))
+		})
 	}
 }
 
@@ -71,21 +106,53 @@ func TestLookupEntryBatchAfterSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.flat == nil {
-		t.Fatal("deserialized model must have flattened parameters")
+	// Against the original model's scalar path: the round trip must
+	// preserve answers as well as the kernels' agreement.
+	checkF32Kernels(t, m2, m, probeKeys(rng, entries, 1000))
+}
+
+// TestLookupEntryBatchWithoutFloat32Form damages a trained model in each
+// way that leaves it without a float32 form and checks that
+// LookupEntryBatch then still equals LookupEntry key for key.
+func TestLookupEntryBatchWithoutFloat32Form(t *testing.T) {
+	cases := []struct {
+		name   string
+		damage func(s *submodel)
+	}{
+		{"non-uniform hidden width", func(s *submodel) {
+			// A dead unit: the network computes the same function.
+			s.w1 = append(s.w1, 0)
+			s.b1 = append(s.b1, -1)
+			s.w2 = append(s.w2, 0)
+		}},
+		{"infinite weight", func(s *submodel) { s.w2[0] = math.Inf(1) }},
+		{"NaN weight", func(s *submodel) { s.w1[0] = math.NaN() }},
+		{"span reciprocal overflows float32", func(s *submodel) { s.inSpan = 1e-40 }},
 	}
-	keys := make([]uint32, 1000)
-	for i := range keys {
-		keys[i] = rng.Uint32()
-	}
-	a := make([]int32, len(keys))
-	b := make([]int32, len(keys))
-	m.LookupEntryBatch(keys, a)
-	m2.LookupEntryBatch(keys, b)
-	for i := range keys {
-		if a[i] != b[i] {
-			t.Fatalf("key %d: original %d, round-trip %d", keys[i], a[i], b[i])
-		}
+	for ci, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23 + int64(ci)))
+			entries := randomEntries(rng, 500)
+			m, _, err := Train(entries, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := m.stages[len(m.stages)-1]
+			tc.damage(&last[len(last)/2])
+			m.finalize()
+			if m.flat32 != nil {
+				t.Fatal("damaged model still has a float32 form")
+			}
+			keys := probeKeys(rng, entries, 2048)
+			want := scalarEntries(m, keys)
+			out := make([]int32, len(keys))
+			m.LookupEntryBatch(keys, out)
+			for i, k := range keys {
+				if out[i] != want[i] {
+					t.Fatalf("key %d: batch %d, scalar %d", k, out[i], want[i])
+				}
+			}
+		})
 	}
 }
 

@@ -34,7 +34,7 @@ func NewKernel(h int, seed int64) *Kernel {
 		s.b1[k] = rng.NormFloat64()
 		s.w2[k] = rng.NormFloat64()
 	}
-	return &Kernel{s: s, f32: flatten32(flattenStages([][]submodel{{s}}))}
+	return &Kernel{s: s, f32: flatten32([][]submodel{{s}})}
 }
 
 // Eval1 evaluates one key (the "Serial(1)" row of Table 1).
@@ -150,145 +150,4 @@ func clamp01(y float64) float64 {
 		return clampHi
 	}
 	return y
-}
-
-// --- flattened model parameters ------------------------------------------
-//
-// flatStages mirrors a model's [][]submodel in contiguous slices so batched
-// inference walks linear memory instead of chasing per-submodel slice
-// headers. Submodel j of stage s lives at global index off[s]+j; its hidden
-// coefficients occupy w1/b1/w2[g*h : (g+1)*h]. The arithmetic of evalX is
-// reproduced operation-for-operation, so flattened and scalar inference are
-// bit-identical and the trained error bounds remain valid.
-
-//
-//nm:immutable
-type flatStages struct {
-	h    int   // hidden units, uniform across every submodel
-	off  []int // off[s] is the global index of stage s's first submodel
-	w1   []float64
-	b1   []float64
-	w2   []float64
-	b2   []float64
-	inLo []float64
-	inSp []float64
-}
-
-// flattenStages packs the staged submodels into contiguous slices. It
-// returns nil when the model has no stages or the hidden width is not
-// uniform (possible for hand-crafted serialized models); callers fall back
-// to the scalar path.
-//
-//nm:builder flatStages
-func flattenStages(stages [][]submodel) *flatStages {
-	if len(stages) == 0 || len(stages[0]) == 0 {
-		return nil
-	}
-	h := len(stages[0][0].w1)
-	total := 0
-	off := make([]int, len(stages))
-	for s, st := range stages {
-		off[s] = total
-		for i := range st {
-			if len(st[i].w1) != h {
-				return nil
-			}
-		}
-		total += len(st)
-	}
-	f := &flatStages{
-		h:    h,
-		off:  off,
-		w1:   make([]float64, total*h),
-		b1:   make([]float64, total*h),
-		w2:   make([]float64, total*h),
-		b2:   make([]float64, total),
-		inLo: make([]float64, total),
-		inSp: make([]float64, total),
-	}
-	g := 0
-	for _, st := range stages {
-		for i := range st {
-			copy(f.w1[g*h:], st[i].w1)
-			copy(f.b1[g*h:], st[i].b1)
-			copy(f.w2[g*h:], st[i].w2)
-			f.b2[g] = st[i].b2
-			f.inLo[g] = st[i].inLo
-			f.inSp[g] = st[i].inSpan
-			g++
-		}
-	}
-	return f
-}
-
-// evalX evaluates global submodel g on a scaled input, matching
-// submodel.evalX exactly (same operations, same order).
-//
-//nm:hotpath
-func (f *flatStages) evalX(g int, x float64) float64 {
-	u := (x - f.inLo[g]) / f.inSp[g]
-	y := f.b2[g]
-	base := g * f.h
-	for k := 0; k < f.h; k++ {
-		if z := u*f.w1[base+k] + f.b1[base+k]; z > 0 {
-			y += f.w2[base+k] * z
-		}
-	}
-	return clamp01(y)
-}
-
-// evalWide evaluates ONE submodel over a block of inputs with each hidden
-// unit's coefficients hoisted out of the key loop — the Table 1 batching
-// applied to real model stages. Blocks of four keys accumulate in named
-// locals (the Eval4 pattern: Go's register allocator scalarizes named
-// variables but not arrays, and the Table 1 measurements show the ~3x win
-// belongs to the named form). Per-key accumulation order equals evalX, so
-// results are bit-identical.
-//
-//nm:hotpath
-func (f *flatStages) evalWide(g int, x, y []float64) {
-	inLo, inSp, b2 := f.inLo[g], f.inSp[g], f.b2[g]
-	h := f.h
-	base := g * h
-	w1 := f.w1[base : base+h]
-	b1 := f.b1[base : base+h]
-	w2 := f.w2[base : base+h]
-	c := 0
-	for ; c+4 <= len(x); c += 4 {
-		u0 := (x[c] - inLo) / inSp
-		u1 := (x[c+1] - inLo) / inSp
-		u2 := (x[c+2] - inLo) / inSp
-		u3 := (x[c+3] - inLo) / inSp
-		y0, y1, y2, y3 := b2, b2, b2, b2
-		for k, w := range w1 {
-			b := b1[k]
-			v := w2[k]
-			if z := u0*w + b; z > 0 {
-				y0 += v * z
-			}
-			if z := u1*w + b; z > 0 {
-				y1 += v * z
-			}
-			if z := u2*w + b; z > 0 {
-				y2 += v * z
-			}
-			if z := u3*w + b; z > 0 {
-				y3 += v * z
-			}
-		}
-		y[c] = clamp01(y0)
-		y[c+1] = clamp01(y1)
-		y[c+2] = clamp01(y2)
-		y[c+3] = clamp01(y3)
-	}
-	for ; c < len(x); c++ {
-		u := (x[c] - inLo) / inSp
-		yy := b2
-		for k, w := range w1 {
-			if z := u*w + b1[k]; z > 0 {
-				yy += w2[k] * z
-			}
-		}
-		y[c] = clamp01(yy)
-	}
 }

@@ -1,19 +1,13 @@
 package rqrmi
 
-import (
-	"fmt"
-	"math"
-	"sync/atomic"
-
-	"nuevomatch/internal/cpu"
-)
+import "math"
 
 // This file is the float32 inference path of §4: the paper evaluates
 // submodels in single precision so that AVX processes 8 lanes per
-// instruction. flatStages32 mirrors flatStages in float32 with the
-// per-submodel parameters interleaved for broadcast-friendly streaming, and
-// evalBlock dispatches between the hand-written AVX2 kernel
-// (kernel_amd64.s) and the portable pure-Go form below.
+// instruction. flatStages32 packs every submodel's parameters in float32,
+// interleaved for broadcast-friendly streaming, and evalBlock dispatches
+// between the hand-written AVX2 kernel (kernel_amd64.s) and the portable
+// pure-Go form below.
 //
 // Numeric contract: the assembly kernel and evalBlockGo are BIT-IDENTICAL.
 // Both compute, per lane,
@@ -64,59 +58,54 @@ type flatStages32 struct {
 	hdr []float32
 }
 
-// flatten32 derives the float32 parameter form from the float64 flat form.
-// It returns nil when f is nil (non-uniform hidden width), when a
-// submodel's input span collapses under float32, or when any parameter is
-// non-finite (both possible only for hand-crafted or legacy serialized
-// models), in which case batched lookups stay on the float64 path. The
-// finiteness requirement lets evalBlockGo skip inactive hidden units (see
-// the note there) while staying bit-identical to the assembly.
+// flatten32 packs the staged submodels into the float32 parameter form,
+// stage after stage. It returns nil when the model has no stages, when the
+// hidden width is not uniform, when any parameter is non-finite in float32,
+// or when a submodel's input span collapses under float32 or its reciprocal
+// overflows (all possible only for hand-crafted or corrupted serialized
+// models), in which case batched lookups resolve each key with LookupEntry.
+// The finiteness requirement lets evalBlockGo skip inactive hidden units
+// (see the note there) while staying bit-identical to the assembly.
 //
 //nm:builder flatStages32
-func flatten32(f *flatStages) *flatStages32 {
-	if f == nil {
+func flatten32(stages [][]submodel) *flatStages32 {
+	if len(stages) == 0 || len(stages[0]) == 0 {
 		return nil
 	}
-	total := len(f.b2)
-	h := f.h
-	f32 := &flatStages32{
-		h:   h,
-		off: make([]int32, len(f.off)),
-		tri: make([]float32, total*3*h),
-		hdr: make([]float32, total*3),
+	h := len(stages[0][0].w1)
+	total := 0
+	f32 := &flatStages32{h: h, off: make([]int32, len(stages))}
+	for s, st := range stages {
+		f32.off[s] = int32(total)
+		total += len(st)
 	}
-	for s, o := range f.off {
-		f32.off[s] = int32(o)
-	}
-	for g := 0; g < total; g++ {
-		base := g * h
-		tb := g * 3 * h
-		for k := 0; k < h; k++ {
-			f32.tri[tb+3*k] = float32(f.w1[base+k])
-			f32.tri[tb+3*k+1] = float32(f.b1[base+k])
-			f32.tri[tb+3*k+2] = float32(f.w2[base+k])
-		}
-		for _, v := range f32.tri[tb : tb+3*h] {
-			if math.IsInf(float64(v), 0) || v != v {
+	f32.tri = make([]float32, 0, total*3*h)
+	f32.hdr = make([]float32, 0, total*3)
+	finite := func(v float32) bool { return !math.IsInf(float64(v), 0) && v == v }
+	for _, st := range stages {
+		for i := range st {
+			sm := &st[i]
+			if len(sm.w1) != h {
 				return nil
 			}
+			for k := 0; k < h; k++ {
+				w, b, v := float32(sm.w1[k]), float32(sm.b1[k]), float32(sm.w2[k])
+				if !finite(w) || !finite(b) || !finite(v) {
+					return nil
+				}
+				f32.tri = append(f32.tri, w, b, v)
+			}
+			span := float32(sm.inSpan)
+			if !(span > 0) {
+				return nil
+			}
+			inv := 1 / span
+			lo, b2 := float32(sm.inLo), float32(sm.b2)
+			if !finite(inv) || !finite(lo) || !finite(b2) {
+				return nil
+			}
+			f32.hdr = append(f32.hdr, lo, inv, b2)
 		}
-		span := float32(f.inSp[g])
-		if !(span > 0) {
-			return nil
-		}
-		inv := 1 / span
-		if math.IsInf(float64(inv), 0) {
-			return nil // denormal span: reciprocal overflows, keep float64 path
-		}
-		lo32 := float32(f.inLo[g])
-		b232 := float32(f.b2[g])
-		if math.IsInf(float64(lo32), 0) || math.IsInf(float64(b232), 0) || lo32 != lo32 || b232 != b232 {
-			return nil
-		}
-		f32.hdr[3*g] = lo32
-		f32.hdr[3*g+1] = inv
-		f32.hdr[3*g+2] = b232
 	}
 	return f32
 }
@@ -262,52 +251,14 @@ func (f *flatStages32) route(key uint32, widths []int, nEntries int) (leaf, pred
 	return 0, 0
 }
 
-// --- kernel selection -----------------------------------------------------
-
-// Kernel mode names accepted by SetKernelMode.
-const (
-	KernelAuto = "auto" // AVX2 assembly when the host supports it, else pure Go
-	KernelGo   = "go"   // portable pure-Go float32 kernel
-	KernelAsm  = "asm"  // AVX2 assembly; SetKernelMode errors if unsupported
-)
-
-// kernelUseAsm is read once per LookupEntryBatch call. It is atomic so
-// tests and tools may switch kernels while lookups run (both kernels
-// produce bit-identical results, so a racing switch is benign).
-var kernelUseAsm atomic.Bool
-
-func init() {
-	kernelUseAsm.Store(asmKernelAvailable)
-}
-
-// SetKernelMode selects the batched inference kernel: KernelAuto,
-// KernelGo, or KernelAsm. KernelAsm errors when the assembly kernel is not
-// available (non-amd64, noasm build, or no AVX2 on the host).
-func SetKernelMode(mode string) error {
-	switch mode {
-	case KernelAuto:
-		kernelUseAsm.Store(asmKernelAvailable)
-	case KernelGo:
-		kernelUseAsm.Store(false)
-	case KernelAsm:
-		if !asmKernelAvailable {
-			return fmt.Errorf("rqrmi: asm kernel unavailable (GOARCH, noasm build tag, or missing AVX2; host features %v)", cpu.Features())
-		}
-		kernelUseAsm.Store(true)
-	default:
-		return fmt.Errorf("rqrmi: unknown kernel mode %q (want %s, %s or %s)", mode, KernelAuto, KernelGo, KernelAsm)
-	}
-	return nil
-}
-
 // HasAsmKernel reports whether the AVX2 assembly kernel can run on this
 // build and host.
 func HasAsmKernel() bool { return asmKernelAvailable }
 
-// KernelName identifies the active batched-inference kernel for bench
-// artifacts: "avx2" or "go-f32".
+// KernelName identifies the batched-inference kernel the build and CPU
+// selected, for bench artifacts: "avx2" or "go-f32".
 func KernelName() string {
-	if kernelUseAsm.Load() {
+	if asmKernelAvailable {
 		return "avx2"
 	}
 	return "go-f32"

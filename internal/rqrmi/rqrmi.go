@@ -31,7 +31,6 @@ package rqrmi
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"nuevomatch/internal/rules"
@@ -124,13 +123,9 @@ type Model struct {
 	errs   []int32
 	maxErr int32
 
-	// flat mirrors the staged submodels in contiguous parameter slices for
-	// batched inference; nil when the hidden width is not uniform (batched
-	// lookups then fall back to the scalar path).
-	flat *flatStages
 	// flat32 is the single-precision parameter form of §4 consumed by the
-	// SIMD kernel; nil when flat is nil or a submodel's input span collapses
-	// under float32 (batched lookups then stay on the float64 path).
+	// batched kernel; nil when flatten32 rejects the submodels (batched
+	// lookups then resolve each key with LookupEntry).
 	flat32 *flatStages32
 	// errs32[j] is the float32-path search bound for leaf j: the float64
 	// bound re-validated under float32 arithmetic at finalize time and
@@ -158,12 +153,11 @@ func (m *Model) coarseHit(key uint32) bool {
 	return m.coarse[b>>6]&(1<<(b&63)) != 0
 }
 
-// finalize precomputes the flattened parameter mirror and the flat payload
-// array; Train and ReadModel call it once the staged submodels and entries
-// are in place.
+// finalize precomputes the float32 parameter form, the flat payload array
+// and the coarse bitmap; Train and ReadModel call it once the staged
+// submodels and entries are in place.
 func (m *Model) finalize() {
-	m.flat = flattenStages(m.stages)
-	m.flat32 = flatten32(m.flat)
+	m.flat32 = flatten32(m.stages)
 	if m.flat32 != nil && len(m.entries) > 0 {
 		m.revalidateF32()
 	}
@@ -307,35 +301,11 @@ func (m *Model) Lookup(key uint32) (value int, ok bool) {
 //
 //nm:hotpath
 func (m *Model) LookupEntry(key uint32) (index int, ok bool) {
-	if len(m.entries) == 0 {
-		return 0, false
+	if len(m.entries) == 0 || !m.coarseHit(key) {
+		return 0, false // empty, or provably in a gap between ranges
 	}
-	if m.coarse != nil && !m.coarseHit(key) {
-		return 0, false // provably in a gap between ranges
-	}
-	leaf, pred := m.route(uint64(key))
-	e := int(m.errs[leaf])
-	lo, hi := pred-e, pred+e
-	if lo < 0 {
-		lo = 0
-	}
-	if n := len(m.entries) - 1; hi > n {
-		hi = n
-	}
-	// Binary search for the last entry with Lo <= key within [lo, hi]; the
-	// error bound guarantees the true entry, if any, is inside the window.
-	for lo < hi {
-		mid := int(uint(lo+hi+1) >> 1)
-		if m.los[mid] <= key {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	if m.los[lo] <= key && key <= m.his[lo] {
-		return lo, true
-	}
-	return 0, false
+	pred, e := m.Predict(key)
+	return m.Search(key, pred, e)
 }
 
 // BatchChunk is the block size used by LookupEntryBatch: large enough to
@@ -343,19 +313,6 @@ func (m *Model) LookupEntry(key uint32) (index int, ok bool) {
 // during the lockstep search, small enough that the per-chunk scratch stays
 // on the stack and the keys stay in L1 across stages.
 const BatchChunk = 128
-
-// quantize mirrors submodel.bucket's clamped floor.
-//
-//nm:hotpath
-func quantize(y, fw float64, outW int) int32 {
-	b := int(y * fw)
-	if b < 0 {
-		b = 0
-	} else if b >= outW {
-		b = outW - 1
-	}
-	return int32(b)
-}
 
 // maxGroupWidth bounds the stage width for which the batched path groups
 // keys by submodel; wider stages (possible only in hand-built serialized
@@ -365,183 +322,27 @@ const maxGroupWidth = 512
 // LookupEntryBatch resolves a batch of keys at once, writing the matched
 // entry position (or -1) for keys[i] into out[i]. Unlike per-key LookupEntry,
 // it runs each RQ-RMI stage across the whole chunk before advancing to the
-// next, grouping the chunk's keys by the submodel that owns them (a counting
-// sort over the previous stage's predictions): every submodel then evaluates
-// its keys with coefficients hoisted out of the key loop, which is the same
-// data-parallel amortization the paper's SIMD kernels exploit (Table 1).
-// When the model carries a float32 parameter form, stages run through the
-// single-precision kernel of §4 (AVX2 assembly where available, see
-// batch32.go); otherwise this float64 form runs. Either way results are
-// bit-identical to LookupEntry. out must have at least len(keys) entries.
+// next, grouping the chunk's keys by the submodel that owns them: every
+// submodel then evaluates its keys through the single-precision kernel of
+// §4 (batch32.go), which is the data-parallel amortization the paper's SIMD
+// kernels exploit (Table 1). The build and CPU pick the kernel: AVX2
+// assembly on amd64 hosts that have it, the bit-identical pure-Go form
+// otherwise (and under the noasm build tag). A model without a float32 form
+// (only hand-built or corrupted serialized models lack one) resolves each
+// key with LookupEntry. Either way results are bit-identical to LookupEntry.
+// out must have at least len(keys) entries.
 //
 //nm:hotpath
 func (m *Model) LookupEntryBatch(keys []uint32, out []int32) {
-	if len(m.entries) == 0 {
-		for i := range keys {
+	if m.flat32 != nil && len(m.entries) > 0 {
+		m.lookupEntryBatchF32(keys, out, asmKernelAvailable)
+		return
+	}
+	for i, k := range keys {
+		if idx, ok := m.LookupEntry(k); ok {
+			out[i] = int32(idx)
+		} else {
 			out[i] = -1
-		}
-		return
-	}
-	if m.flat32 != nil {
-		m.lookupEntryBatchF32(keys, out, kernelUseAsm.Load())
-		return
-	}
-	if m.flat == nil {
-		for i, k := range keys {
-			if idx, ok := m.LookupEntry(k); ok {
-				out[i] = int32(idx)
-			} else {
-				out[i] = -1
-			}
-		}
-		return
-	}
-	var x, y, xg, yg [BatchChunk]float64
-	var js, preds, order, act [BatchChunk]int32
-	var akeys [BatchChunk]uint32
-	var cnt [maxGroupWidth + 1]int32
-	f := m.flat
-	last := len(m.stages) - 1
-	for off := 0; off < len(keys); off += BatchChunk {
-		nIn := len(keys) - off
-		if nIn > BatchChunk {
-			nIn = BatchChunk
-		}
-		block := keys[off : off+nIn]
-		// Compact away keys the coarse bitmap proves to be in a gap: the
-		// stages and the search then run only over live lanes.
-		n := 0
-		for c, k := range block {
-			if !m.coarseHit(k) {
-				out[off+c] = -1
-				continue
-			}
-			act[n] = int32(c)
-			akeys[n] = k
-			x[n] = float64(k) * scale
-			js[n] = 0
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		for s := 0; s <= last; s++ {
-			outW := len(m.entries)
-			if s < last {
-				outW = m.widths[s+1]
-			}
-			width := m.widths[s]
-			fw := float64(outW)
-			isLeaf := s == last
-			switch {
-			case width == 1:
-				// Single submodel (always true for stage 0): one hoisted
-				// pass over the whole chunk, quantized like
-				// submodel.bucket.
-				f.evalWide(f.off[s], x[:n], y[:n])
-				if isLeaf {
-					for c := 0; c < n; c++ {
-						preds[c] = quantize(y[c], fw, outW)
-					}
-				} else {
-					for c := 0; c < n; c++ {
-						js[c] = quantize(y[c], fw, outW)
-					}
-				}
-			case width <= maxGroupWidth:
-				// Counting-sort the keys by owning submodel, run the
-				// hoisted kernel per group, scatter the quantized results
-				// back through the permutation.
-				for j := 0; j <= width; j++ {
-					cnt[j] = 0
-				}
-				for c := 0; c < n; c++ {
-					cnt[js[c]+1]++
-				}
-				for j := 0; j < width; j++ {
-					cnt[j+1] += cnt[j]
-				}
-				for c := 0; c < n; c++ {
-					pos := cnt[js[c]]
-					cnt[js[c]] = pos + 1
-					order[pos] = int32(c)
-					xg[pos] = x[c]
-				}
-				start := 0
-				for j := 0; j < width && start < n; j++ {
-					end := int(cnt[j])
-					if end > start {
-						f.evalWide(f.off[s]+j, xg[start:end], yg[start:end])
-						start = end
-					}
-				}
-				if isLeaf {
-					for c := 0; c < n; c++ {
-						preds[order[c]] = quantize(yg[c], fw, outW)
-					}
-				} else {
-					for c := 0; c < n; c++ {
-						js[order[c]] = quantize(yg[c], fw, outW)
-					}
-				}
-			default:
-				if isLeaf {
-					for c := 0; c < n; c++ {
-						preds[c] = quantize(f.evalX(f.off[s]+int(js[c]), x[c]), fw, outW)
-					}
-				} else {
-					for c := 0; c < n; c++ {
-						js[c] = quantize(f.evalX(f.off[s]+int(js[c]), x[c]), fw, outW)
-					}
-				}
-			}
-		}
-		// Secondary search, lockstep and branchless: every round advances
-		// all n searches one binary-search step, so the chunk keeps n
-		// independent loads of the boundary array in flight instead of
-		// walking one dependent chain at a time, and the step itself is a
-		// comparison-to-select with no data-dependent branch. The update is
-		// idempotent once a lane converges (mid collapses to lo), so all
-		// lanes simply run the round count of the widest window. The
-		// lo/hi evolution equals Search's exactly.
-		var lo, hi [BatchChunk]int32
-		maxIdx := int32(len(m.entries) - 1)
-		rounds := 0
-		for c := 0; c < n; c++ {
-			e := m.errs[js[c]]
-			l, h := preds[c]-e, preds[c]+e
-			if l < 0 {
-				l = 0
-			}
-			if h > maxIdx {
-				h = maxIdx
-			}
-			lo[c], hi[c] = l, h
-			if w := int(h - l); w > 0 {
-				if r := bits.Len(uint(w)); r > rounds {
-					rounds = r
-				}
-			}
-		}
-		for ; rounds > 0; rounds-- {
-			for c := 0; c < n; c++ {
-				l, h := lo[c], hi[c]
-				mid := int32(uint32(l+h+1) >> 1)
-				var ge int32
-				if m.los[mid] <= akeys[c] {
-					ge = 1
-				}
-				lo[c] = l + ge*(mid-l)
-				hi[c] = h - (1-ge)*(h-mid+1)
-			}
-		}
-		for c := 0; c < n; c++ {
-			l, k := lo[c], akeys[c]
-			if m.los[l] <= k && k <= m.his[l] {
-				out[off+int(act[c])] = l
-			} else {
-				out[off+int(act[c])] = -1
-			}
 		}
 	}
 }
@@ -560,6 +361,8 @@ func (m *Model) SetValue(i, value int) {
 // index prediction and its guaranteed error bound. Together with Search it
 // splits Lookup into its two phases so callers can profile them separately
 // (the Figure 14 breakdown).
+//
+//nm:hotpath
 func (m *Model) Predict(key uint32) (pred, errBound int) {
 	if len(m.entries) == 0 {
 		return 0, 0
@@ -570,6 +373,8 @@ func (m *Model) Predict(key uint32) (pred, errBound int) {
 
 // Search performs the secondary search around a prediction obtained from
 // Predict, returning the matching entry position.
+//
+//nm:hotpath
 func (m *Model) Search(key uint32, pred, errBound int) (index int, ok bool) {
 	if len(m.entries) == 0 {
 		return 0, false

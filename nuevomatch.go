@@ -190,16 +190,9 @@ func NewAutopilot(e *Engine, policy AutopilotPolicy) *Autopilot {
 // same table has not finished yet.
 var ErrRetrainInProgress = core.ErrRetrainInProgress
 
-// SetKernelMode selects the RQ-RMI batched-inference kernel process-wide:
-// "auto" (AVX2 assembly when the build and host support it, the default),
-// "go" (the portable pure-Go float32 kernel), or "asm" (AVX2 required —
-// errors when unavailable). The kernels are bit-identical, so switching
-// never changes classification results, only throughput; the override
-// exists for benchmarking ablations and for pinning CI measurements.
-func SetKernelMode(mode string) error { return rqrmi.SetKernelMode(mode) }
-
-// KernelName reports the active RQ-RMI batched-inference kernel: "avx2" or
-// "go-f32".
+// KernelName reports the RQ-RMI batched-inference kernel the build and CPU
+// selected: "avx2" (amd64 with AVX2) or "go-f32" (every other host, and any
+// build with the noasm tag).
 func KernelName() string { return rqrmi.KernelName() }
 
 // HasAsmKernel reports whether the AVX2 assembly kernel can run on this
