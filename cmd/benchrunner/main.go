@@ -22,7 +22,6 @@ import (
 	"os"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"nuevomatch/internal/analysis"
 )
@@ -41,7 +40,7 @@ func main() {
 		shards   = flag.Int("shards", 2, "cluster-experiment shard count recorded into the benchjson artifact (0 disables)")
 		serveCli = flag.Int("serve", 8, "serving-experiment client count recorded into the benchjson artifact (0 disables)")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		remaind  = flag.String("remainder", "", "with -benchjson: remainder classifier name (tuplemerge(tm) | rvh | auto; default tuplemerge)")
+		remaind  = flag.String("remainder", "", "with -benchjson: remainder classifier name (tuplemerge(tm) | rvh; default tuplemerge)")
 		minBatch = flag.Float64("minbatch", 0, "with -benchjson: exit non-zero unless batch_speedup >= this ratio (0 disables; the CI perf gate)")
 	)
 	flag.Parse()
@@ -101,23 +100,7 @@ func main() {
 			a.LookupBatchParallel.ThroughputPPS, a.LookupBatchParallel.P50Nanos, a.LookupBatchParallel.P99Nanos, a.LookupBatchParallel.AllocsPerOp)
 		fmt.Printf("  memory:          %d B total (%d B iSets + %d B remainder)\n",
 			a.Engine.TotalBytes, a.Engine.ISetBytes, a.Engine.RemainderBytes)
-		if a.Engine.RemainderAutoSelected {
-			fmt.Printf("  remainder:       %s (auto-selected)\n", a.Engine.RemainderBackend)
-			for _, s := range a.Engine.RemainderScores {
-				if s.Err != "" {
-					fmt.Printf("    %-12s failed: %s\n", s.Name, s.Err)
-					continue
-				}
-				mark := " "
-				if s.Selected {
-					mark = "*"
-				}
-				fmt.Printf("   %s%-12s score %5.2f  lookup %6.1f ns  %8d B  build %s\n",
-					mark, s.Name, s.Score, s.LookupNs, s.MemoryBytes, s.BuildTime.Round(time.Microsecond))
-			}
-		} else {
-			fmt.Printf("  remainder:       %s\n", a.Engine.RemainderBackend)
-		}
+		fmt.Printf("  remainder:       %s\n", a.Engine.RemainderBackend)
 		fmt.Printf("  persistence:     build %.2fs -> save %.1fms, load %.1fms (%.0fx faster than build), %d B table, %d/%d verified\n",
 			a.Persistence.BuildSeconds, a.Persistence.SaveSeconds*1e3, a.Persistence.LoadSeconds*1e3,
 			a.Persistence.LoadSpeedup, a.Persistence.TableBytes,

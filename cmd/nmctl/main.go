@@ -108,11 +108,6 @@ func buildOptions(remainder string, maxErr int) ([]nuevomatch.Option, error) {
 	case "rvh":
 		opts = append(opts, nuevomatch.WithRemainder("rvh"),
 			nuevomatch.WithMaxISets(4), nuevomatch.WithMinCoverage(0.05))
-	case "auto":
-		// Hash-remainder iSet pairing: both auto candidates are hash-based,
-		// so the TupleMerge coverage settings apply whichever wins.
-		opts = append(opts, nuevomatch.WithRemainder(nuevomatch.RemainderAuto),
-			nuevomatch.WithMaxISets(4), nuevomatch.WithMinCoverage(0.05))
 	case "cs":
 		opts = append(opts, nuevomatch.WithRemainder(nuevomatch.CutSplit),
 			nuevomatch.WithMaxISets(2), nuevomatch.WithMinCoverage(0.25))
@@ -120,7 +115,7 @@ func buildOptions(remainder string, maxErr int) ([]nuevomatch.Option, error) {
 		opts = append(opts, nuevomatch.WithRemainder(nuevomatch.NeuroCuts),
 			nuevomatch.WithMaxISets(2), nuevomatch.WithMinCoverage(0.25))
 	default:
-		return nil, fmt.Errorf("unknown remainder %q (want tuplemerge/tm, rvh, auto, cs, or nc)", remainder)
+		return nil, fmt.Errorf("unknown remainder %q (want tuplemerge/tm, rvh, cs, or nc)", remainder)
 	}
 	opts = append(opts, nuevomatch.WithRQRMI(nuevomatch.RQRMIConfig{TargetError: maxErr}))
 	return opts, nil
@@ -142,7 +137,7 @@ func cmdBuild(args []string) {
 		rulesPath = fs.String("rules", "", "ClassBench-format rule file (or use -gen)")
 		gen       = fs.String("gen", "", "generate rules from a ClassBench profile (acl1..acl5, fw1..fw5, ipc1, ipc2)")
 		size      = fs.Int("size", 10000, "rule count for -gen")
-		remainder = fs.String("remainder", "tm", "remainder classifier: tuplemerge(tm) | rvh | auto | cs | nc")
+		remainder = fs.String("remainder", "tm", "remainder classifier: tuplemerge(tm) | rvh | cs | nc")
 		maxErr    = fs.Int("error", 64, "RQ-RMI maximum error threshold")
 		shards    = fs.Int("shards", 1, "shard count; >1 builds a sharded cluster and -o names a directory")
 		out       = fs.String("o", "table.nm", "output table artifact (or cluster directory with -shards)")
@@ -596,7 +591,7 @@ func cmdLegacy(args []string) {
 		gen       = fs.String("gen", "", "generate rules from a ClassBench profile (acl1..acl5, fw1..fw5, ipc1, ipc2) instead of -rules")
 		size      = fs.Int("size", 10000, "rule count for -gen")
 		tracePath = fs.String("trace", "", "trace file from tracegen (optional)")
-		remainder = fs.String("remainder", "tm", "remainder classifier: tuplemerge(tm) | rvh | auto | cs | nc")
+		remainder = fs.String("remainder", "tm", "remainder classifier: tuplemerge(tm) | rvh | cs | nc")
 		maxErr    = fs.Int("error", 64, "RQ-RMI maximum error threshold")
 		bench     = fs.Bool("bench", false, "measure throughput on a generated uniform trace")
 		churn     = fs.Int("churn", 0, "churn serve mode: run this many interleaved insert/delete/lookup ops under the autopilot")

@@ -20,8 +20,10 @@
 //	id := table.Lookup(pkt)               // winning rule ID, -1 if none
 //
 // The table partitions the rules into iSets indexed by RQ-RMI neural
-// models and a remainder indexed by an external classifier (TupleMerge by
-// default; CutSplit and NeuroCuts builders are provided). Lookups run the
+// models and a remainder indexed by an external classifier: TupleMerge by
+// default, or RVH, CutSplit or NeuroCuts. The remainder must be Freezable —
+// every table serves it from a frozen form compiled into the published
+// snapshot — and Open rejects any other classifier. Lookups run the
 // paper's full pipeline — model inference, bounded secondary search,
 // multi-field validation, highest-priority selection, and the
 // early-termination remainder query — lock-free on every path.

@@ -190,32 +190,48 @@ func TestSampleRuleSet(t *testing.T) {
 	}
 }
 
+// TestBuildNMTreeRemainders builds NuevoMatch over the paper's static-tree
+// remainders and checks both lookup paths against the linear reference.
+func TestBuildNMTreeRemainders(t *testing.T) {
+	prof, err := classbench.ProfileByName("fw1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := classbench.Generate(prof, 500)
+	tr := trace.Uniform(rand.New(rand.NewSource(3)), rs, 2000)
+	for baseline, backend := range map[string]string{CS: "cutsplit", NC: "neurocuts"} {
+		e, err := BuildNM(baseline, rs)
+		if err != nil {
+			t.Fatalf("%s: %v", baseline, err)
+		}
+		if got := e.Stats().RemainderBackend; got != backend {
+			t.Fatalf("%s: remainder backend %q, want %q", baseline, got, backend)
+		}
+		out := make([]int, len(tr.Packets))
+		e.LookupBatch(tr.Packets, out)
+		for i, p := range tr.Packets {
+			want := rs.MatchID(p)
+			if got := e.Lookup(p); got != want || out[i] != want {
+				t.Fatalf("%s: packet %v: Lookup %d, LookupBatch %d, want %d", baseline, p, got, out[i], want)
+			}
+		}
+		e.Close()
+	}
+}
+
 func TestBenchArtifact(t *testing.T) {
 	old := MinMeasure
 	MinMeasure = 5 * time.Millisecond
 	defer func() { MinMeasure = old }()
-	a, err := RunBenchArtifact("acl1", 400, 1000, 1, "auto")
+	a, err := RunBenchArtifact("acl1", 400, 1000, 1, "rvh")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Lookup.ThroughputPPS <= 0 || a.LookupBatch.ThroughputPPS <= 0 {
 		t.Fatalf("non-positive throughput: %+v", a)
 	}
-	if !a.Engine.RemainderAutoSelected || a.Engine.RemainderBackend == "" {
-		t.Fatalf("auto-select not recorded in artifact: backend=%q auto=%v",
-			a.Engine.RemainderBackend, a.Engine.RemainderAutoSelected)
-	}
-	selected := 0
-	for _, s := range a.Engine.RemainderScores {
-		if s.Selected {
-			selected++
-			if s.Name != a.Engine.RemainderBackend {
-				t.Fatalf("selected score %q != recorded backend %q", s.Name, a.Engine.RemainderBackend)
-			}
-		}
-	}
-	if selected != 1 {
-		t.Fatalf("want exactly one selected candidate, got %d", selected)
+	if a.Engine.RemainderBackend != "rvh" {
+		t.Fatalf("artifact records remainder backend %q, want rvh", a.Engine.RemainderBackend)
 	}
 	if a.Engine.TotalBytes <= 0 {
 		t.Fatal("non-positive memory footprint")

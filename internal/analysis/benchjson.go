@@ -48,12 +48,8 @@ type BenchArtifact struct {
 		RemainderBytes    int     `json:"remainder_bytes"`
 
 		// RemainderBackend is the remainder classifier that serves
-		// (BuildStats.RemainderBackend); under -remainder auto,
-		// RemainderAutoSelected is true and RemainderScores carries the
-		// per-candidate selection measurements.
-		RemainderBackend      string                `json:"remainder_backend"`
-		RemainderAutoSelected bool                  `json:"remainder_auto_selected,omitempty"`
-		RemainderScores       []core.RemainderScore `json:"remainder_scores,omitempty"`
+		// (BuildStats.RemainderBackend).
+		RemainderBackend string `json:"remainder_backend"`
 	} `json:"engine"`
 
 	// Lookup is the per-packet scalar path; LookupBatch the batched path;
@@ -167,8 +163,8 @@ type BenchPath struct {
 }
 
 // RunBenchArtifact builds the engine (paper options; the remainder backend
-// is chosen by name — "" or "tm"/"tuplemerge" for the default, any
-// registered name such as "rvh", or "auto" for workload auto-selection)
+// is chosen by name — "" or "tm"/"tuplemerge" for the default, or any
+// registered name such as "rvh")
 // over a ClassBench profile and measures the three lookup paths.
 func RunBenchArtifact(profileName string, size, traceLen int, seed int64, remainder string) (*BenchArtifact, error) {
 	prof, err := classbench.ProfileByName(profileName)
@@ -216,8 +212,6 @@ func RunBenchArtifact(profileName string, size, traceLen int, seed int64, remain
 	a.Engine.ISetBytes = e.RQRMIBytes()
 	a.Engine.RemainderBytes = e.RemainderBytes()
 	a.Engine.RemainderBackend = st.RemainderBackend
-	a.Engine.RemainderAutoSelected = st.RemainderAutoSelected
-	a.Engine.RemainderScores = st.RemainderScores
 
 	per, err := measurePersistence(e, buildTime, rs, tr.Packets)
 	if err != nil {

@@ -6,7 +6,9 @@
 package conformance
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"nuevomatch/internal/rules"
@@ -156,6 +158,74 @@ func CheckDegenerate(t *testing.T, build rules.Builder) {
 	}
 	if got := c.Lookup(rules.Packet{175}); got != 0 {
 		t.Fatalf("1-field classifier returned %d, want 0", got)
+	}
+}
+
+// CheckFrozenSkip builds a rules.Freezable classifier over a randomized
+// rule-set, freezes it, masks every third rule through the frozen skip
+// list, and verifies that the frozen Lookup and LookupBatch agree with the
+// reference over the unmasked rules under random bounds — LookupBatch must
+// also lower each bound to its winner's priority and leave the entries it
+// cannot improve untouched.
+func CheckFrozenSkip(t *testing.T, build rules.Builder, seed int64, n, probes int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	rs := RandomRuleSet(rng, n, 5)
+	c, err := build(rs)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	fz, ok := c.(rules.Freezable)
+	if !ok {
+		t.Fatalf("%s is not rules.Freezable", c.Name())
+	}
+	f := fz.Freeze()
+	if f.Len() != rs.Len() {
+		t.Fatalf("frozen Len = %d, want %d", f.Len(), rs.Len())
+	}
+	var skip []int
+	kept := rules.NewRuleSet(rs.NumFields)
+	for i := range rs.Rules {
+		if i%3 == 0 {
+			skip = append(skip, rs.Rules[i].ID)
+		} else {
+			kept.Add(rs.Rules[i])
+		}
+	}
+	sort.Ints(skip)
+
+	pkts := make([]rules.Packet, probes)
+	bounds := make([]int32, probes)
+	want := make([]int, probes)
+	for i := range pkts {
+		pkts[i] = RandomPacket(rng, rs)
+		bounds[i] = math.MaxInt32
+		if rng.Intn(4) == 0 {
+			bounds[i] = int32(rng.Intn(rs.Len() + 1))
+		}
+		want[i] = kept.MatchID(pkts[i])
+		if want[i] >= 0 && priorityOf(kept, want[i]) >= bounds[i] {
+			want[i] = rules.NoMatch
+		}
+		if got := f.Lookup(pkts[i], bounds[i], skip); got != want[i] {
+			t.Fatalf("frozen Lookup(%v, bound %d) = %d, want %d", pkts[i], bounds[i], got, want[i])
+		}
+	}
+	out := make([]int, probes)
+	lowered := append([]int32(nil), bounds...)
+	for i := range out {
+		out[i] = rules.NoMatch
+	}
+	f.LookupBatch(pkts, lowered, skip, out)
+	for i := range pkts {
+		wantBound := bounds[i]
+		if want[i] >= 0 {
+			wantBound = priorityOf(kept, want[i])
+		}
+		if out[i] != want[i] || lowered[i] != wantBound {
+			t.Fatalf("frozen LookupBatch packet %d: got %d (bound %d), want %d (bound %d)",
+				i, out[i], lowered[i], want[i], wantBound)
+		}
 	}
 }
 

@@ -31,10 +31,13 @@ func DefaultConfig() Config {
 
 // Classifier is a set of per-group CutSplit trees.
 type Classifier struct {
-	trees []*dtree.Tree
+	trees dtree.Forest
 }
 
-var _ rules.BoundedClassifier = (*Classifier)(nil)
+var (
+	_ rules.BoundedClassifier = (*Classifier)(nil)
+	_ rules.Freezable         = (*Classifier)(nil)
+)
 
 // New builds a CutSplit classifier.
 func New(rs *rules.RuleSet, cfg Config) *Classifier {
@@ -233,24 +236,15 @@ func (c *Classifier) Lookup(p rules.Packet) int {
 
 // LookupWithBound implements rules.BoundedClassifier.
 func (c *Classifier) LookupWithBound(p rules.Packet, bestPrio int32) int {
-	best := rules.NoMatch
-	for _, t := range c.trees {
-		if id := t.LookupWithBound(p, bestPrio); id >= 0 {
-			best = id
-			bestPrio = t.PriorityOf(id)
-		}
-	}
-	return best
+	return c.trees.Lookup(p, bestPrio, nil)
 }
 
 // MemoryFootprint implements rules.Classifier.
-func (c *Classifier) MemoryFootprint() int {
-	total := 0
-	for _, t := range c.trees {
-		total += t.MemoryFootprint()
-	}
-	return total
-}
+func (c *Classifier) MemoryFootprint() int { return c.trees.MemoryFootprint() }
+
+// Freeze implements rules.Freezable. The trees are immutable once built, so
+// the frozen form is the forest itself.
+func (c *Classifier) Freeze() rules.FrozenClassifier { return c.trees }
 
 // Stats aggregates the per-tree build statistics.
 func (c *Classifier) Stats() []dtree.Stats {

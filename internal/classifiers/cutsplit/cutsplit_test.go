@@ -16,6 +16,10 @@ func TestDegenerate(t *testing.T) {
 	conformance.CheckDegenerate(t, Build)
 }
 
+func TestFrozenSkipMatchesReference(t *testing.T) {
+	conformance.CheckFrozenSkip(t, Build, 41, 600, 800)
+}
+
 func TestPartitionBySmallFields(t *testing.T) {
 	rs := rules.NewRuleSet(2)
 	rs.AddAuto(rules.PrefixRange(0x0a000000, 24), rules.PrefixRange(0x0b000000, 24)) // small/small

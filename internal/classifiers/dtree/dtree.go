@@ -91,15 +91,10 @@ type Stats struct {
 
 // Tree is a built decision tree over a snapshot of a rule-set.
 type Tree struct {
-	rules    []rules.Rule
-	prioByID map[int]int32
-	root     *Node
-	stats    Stats
+	rules []rules.Rule
+	root  *Node
+	stats Stats
 }
-
-// PriorityOf returns the priority of the rule with the given ID. It panics
-// for unknown IDs, which indicate a caller bug.
-func (t *Tree) PriorityOf(id int) int32 { return t.prioByID[id] }
 
 // Build constructs a tree over rs with the given config. The tree snapshots
 // the rules; later changes to rs are not observed.
@@ -116,14 +111,10 @@ func Build(rs *rules.RuleSet, cfg Config) *Tree {
 	if cfg.MaxNodes <= 0 {
 		cfg.MaxNodes = 32*rs.Len() + 4096
 	}
-	t := &Tree{
-		rules:    append([]rules.Rule(nil), rs.Rules...),
-		prioByID: make(map[int]int32, len(rs.Rules)),
-	}
+	t := &Tree{rules: append([]rules.Rule(nil), rs.Rules...)}
 	all := make([]int32, len(t.rules))
 	for i := range all {
 		all[i] = int32(i)
-		t.prioByID[t.rules[i].ID] = t.rules[i].Priority
 	}
 	box := make([]rules.Range, rs.NumFields)
 	for d := range box {
@@ -354,34 +345,44 @@ func (t *Tree) Lookup(p rules.Packet) int {
 
 // LookupWithBound is Lookup with the early-termination bound of §4.
 func (t *Tree) LookupWithBound(p rules.Packet, bestPrio int32) int {
+	id, _ := t.lookup(p, bestPrio, nil)
+	return id
+}
+
+// lookup descends to p's leaf and returns the first rule there that beats
+// bestPrio, matches p and is not in skip (sorted ascending), with its
+// priority; (-1, bestPrio) when there is none.
+//
+//nm:hotpath
+func (t *Tree) lookup(p rules.Packet, bestPrio int32, skip []int) (int, int32) {
 	n := t.root
 	if n == nil {
-		return rules.NoMatch
+		return rules.NoMatch, bestPrio
 	}
 	for {
 		if n.BestPrio >= bestPrio {
-			return rules.NoMatch
+			return rules.NoMatch, bestPrio
 		}
 		switch n.Kind {
 		case KindLeaf:
 			for _, ri := range n.Rules {
 				r := &t.rules[ri]
 				if r.Priority >= bestPrio {
-					return rules.NoMatch
+					return rules.NoMatch, bestPrio
 				}
-				if r.Matches(p) {
-					return r.ID
+				if r.Matches(p) && !rules.Skipped(skip, r.ID) {
+					return r.ID, r.Priority
 				}
 			}
-			return rules.NoMatch
+			return rules.NoMatch, bestPrio
 		case KindCut:
 			v := p[n.Dim]
 			if v < n.Lo {
-				return rules.NoMatch
+				return rules.NoMatch, bestPrio
 			}
 			ci := uint64(v-n.Lo) / n.Width
 			if ci >= uint64(len(n.Children)) {
-				return rules.NoMatch
+				return rules.NoMatch, bestPrio
 			}
 			n = n.Children[ci]
 		case KindSplit:
@@ -420,4 +421,60 @@ func (t *Tree) MemoryFootprint() int {
 		walk(t.root)
 	}
 	return total
+}
+
+// Forest is a set of trees over disjoint rule subsets — CutSplit's
+// per-group trees, or NeuroCuts' single tree — queried as one classifier
+// under a tightening bound. Trees never change after Build, so a Forest is
+// also the frozen form of the classifiers built on it: it implements
+// rules.FrozenClassifier by sharing the trees, without copying.
+type Forest []*Tree
+
+var _ rules.FrozenClassifier = Forest(nil)
+
+// Len implements rules.FrozenClassifier.
+func (f Forest) Len() int {
+	n := 0
+	for _, t := range f {
+		n += len(t.rules)
+	}
+	return n
+}
+
+// MemoryFootprint implements rules.FrozenClassifier as the sum of the
+// trees' footprints.
+func (f Forest) MemoryFootprint() int {
+	total := 0
+	for _, t := range f {
+		total += t.MemoryFootprint()
+	}
+	return total
+}
+
+// Lookup implements rules.FrozenClassifier: every tree is probed, each under
+// the priority of the best match so far.
+//
+//nm:hotpath
+func (f Forest) Lookup(p rules.Packet, bestPrio int32, skip []int) int {
+	best := rules.NoMatch
+	for _, t := range f {
+		if id, prio := t.lookup(p, bestPrio, skip); id >= 0 {
+			best, bestPrio = id, prio
+		}
+	}
+	return best
+}
+
+// LookupBatch implements rules.FrozenClassifier, lowering bounds[i] to the
+// priority of each winner it writes into out[i].
+//
+//nm:hotpath
+func (f Forest) LookupBatch(pkts []rules.Packet, bounds []int32, skip []int, out []int) {
+	for _, t := range f {
+		for c, p := range pkts {
+			if id, prio := t.lookup(p, bounds[c], skip); id >= 0 {
+				out[c], bounds[c] = id, prio
+			}
+		}
+	}
 }

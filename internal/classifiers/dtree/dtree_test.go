@@ -135,9 +135,6 @@ func TestStatsAndMemory(t *testing.T) {
 	if tr.MemoryFootprint() <= 0 {
 		t.Error("memory footprint must be positive")
 	}
-	if got := tr.PriorityOf(rs.Rules[7].ID); got != rs.Rules[7].Priority {
-		t.Errorf("PriorityOf = %d, want %d", got, rs.Rules[7].Priority)
-	}
 }
 
 func TestEmptyTree(t *testing.T) {

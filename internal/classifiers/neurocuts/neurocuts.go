@@ -95,7 +95,10 @@ type Classifier struct {
 	tree *dtree.Tree
 }
 
-var _ rules.BoundedClassifier = (*Classifier)(nil)
+var (
+	_ rules.BoundedClassifier = (*Classifier)(nil)
+	_ rules.Freezable         = (*Classifier)(nil)
+)
 
 // New runs the policy search and builds the final classifier.
 func New(rs *rules.RuleSet, cfg Config) *Classifier {
@@ -267,6 +270,10 @@ func (c *Classifier) LookupWithBound(p rules.Packet, bestPrio int32) int {
 
 // MemoryFootprint implements rules.Classifier.
 func (c *Classifier) MemoryFootprint() int { return c.tree.MemoryFootprint() }
+
+// Freeze implements rules.Freezable. The tree is immutable once built, so
+// the frozen form is a one-tree forest sharing it.
+func (c *Classifier) Freeze() rules.FrozenClassifier { return dtree.Forest{c.tree} }
 
 // Stats exposes the final tree's build statistics.
 func (c *Classifier) Stats() dtree.Stats { return c.tree.Stats() }

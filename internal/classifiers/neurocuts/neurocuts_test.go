@@ -15,6 +15,10 @@ func TestDegenerate(t *testing.T) {
 	conformance.CheckDegenerate(t, Build)
 }
 
+func TestFrozenSkipMatchesReference(t *testing.T) {
+	conformance.CheckFrozenSkip(t, Build, 42, 600, 800)
+}
+
 func TestSearchIsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	rs := conformance.RandomRuleSet(rng, 300, 5)

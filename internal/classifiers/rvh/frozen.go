@@ -171,26 +171,6 @@ func (f *Frozen) intervalOf(d int, v uint32) int32 {
 	return lo - base
 }
 
-// skipped reports whether id appears in the sorted skip list (the overlay's
-// deleted-rule IDs; tiny by the compaction threshold).
-//
-//nm:hotpath
-func skipped(skip []int, id int) bool {
-	lo, hi := 0, len(skip)-1
-	for lo <= hi {
-		mid := int(uint(lo+hi) >> 1)
-		v := skip[mid]
-		if v < id {
-			lo = mid + 1
-		} else if v > id {
-			hi = mid - 1
-		} else {
-			return true
-		}
-	}
-	return false
-}
-
 // matchRule verifies packet p against compiled rule ri with a branch-light
 // lockstep scan over the SoA bounds: one unsigned-subtract range check per
 // field, AND-accumulated so the loop carries no data-dependent branches.
@@ -225,7 +205,7 @@ func (f *Frozen) scanBucket(start, n int32, p rules.Packet, bestPrio int32, skip
 		if f.rPrio[ri] >= bestPrio {
 			break
 		}
-		if f.matchRule(ri, p) && !skipped(skip, f.rID[ri]) {
+		if f.matchRule(ri, p) && !rules.Skipped(skip, f.rID[ri]) {
 			best = f.rID[ri]
 			bestPrio = f.rPrio[ri]
 		}

@@ -20,8 +20,7 @@
 // the same §4 early-termination shape as the TupleMerge remainder. Because
 // boundary vectors are chosen from the rule distribution itself, range-heavy
 // ClassBench-style rule-sets (which defeat prefix tuples) still land in
-// high-mask groups, which is the workload the auto-select mode exists to
-// detect.
+// high-mask groups.
 //
 // The classifier supports online Insert/Delete (boundary vectors are fixed
 // at build time; later rules simply compute their mask against the existing
@@ -91,10 +90,9 @@ type Classifier struct {
 }
 
 var (
-	_ rules.BoundedClassifier      = (*Classifier)(nil)
-	_ rules.BatchBoundedClassifier = (*Classifier)(nil)
-	_ rules.Updatable              = (*Classifier)(nil)
-	_ rules.Freezable              = (*Classifier)(nil)
+	_ rules.BoundedClassifier = (*Classifier)(nil)
+	_ rules.Updatable         = (*Classifier)(nil)
+	_ rules.Freezable         = (*Classifier)(nil)
 )
 
 // New builds an RVH classifier over a snapshot of rs: boundary vectors are
@@ -314,11 +312,6 @@ func (c *Classifier) Lookup(p rules.Packet) int {
 func (c *Classifier) LookupWithBound(p rules.Packet, bestPrio int32) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.lookupLocked(p, bestPrio)
-}
-
-// lookupLocked probes the groups under the running bound.
-func (c *Classifier) lookupLocked(p rules.Packet, bestPrio int32) int {
 	best := rules.NoMatch
 	if len(p) < c.numFields {
 		return best
@@ -344,17 +337,6 @@ func (c *Classifier) lookupLocked(p rules.Packet, bestPrio int32) int {
 		}
 	}
 	return best
-}
-
-// LookupBatchWithBound implements rules.BatchBoundedClassifier: one lock
-// acquisition serves the whole batch. Results equal per-packet
-// LookupWithBound.
-func (c *Classifier) LookupBatchWithBound(pkts []rules.Packet, bounds []int32, out []int) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for i, p := range pkts {
-		out[i] = c.lookupLocked(p, bounds[i])
-	}
 }
 
 // MemoryFootprint implements rules.Classifier with the same accounting as

@@ -65,15 +65,17 @@ func TestUpdateConformance(t *testing.T) {
 	}
 }
 
-// TestBatchAgreesWithScalar checks the one-lock batched entry point against
-// per-packet bounded lookups.
+// TestBatchAgreesWithScalar checks the frozen form's batched walk against
+// per-packet bounded lookups on the live classifier.
 func TestBatchAgreesWithScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(1703))
 	rs := conformance.RandomRuleSet(rng, 800, 5)
 	c := New(rs)
+	f := c.Freeze()
 	const batch = 128
 	pkts := make([]rules.Packet, batch)
 	bounds := make([]int32, batch)
+	work := make([]int32, batch)
 	out := make([]int, batch)
 	for round := 0; round < 20; round++ {
 		for i := range pkts {
@@ -82,8 +84,10 @@ func TestBatchAgreesWithScalar(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				bounds[i] = int32(rng.Intn(rs.Len() + 1))
 			}
+			out[i] = rules.NoMatch
 		}
-		c.LookupBatchWithBound(pkts, bounds, out)
+		copy(work, bounds)
+		f.LookupBatch(pkts, work, nil, out)
 		for i := range pkts {
 			if want := c.LookupWithBound(pkts[i], bounds[i]); out[i] != want {
 				t.Fatalf("round %d pkt %d: batch %d, scalar %d", round, i, out[i], want)

@@ -190,28 +190,6 @@ func (f *Frozen) MemoryFootprint() int {
 		4*len(f.rLo) + 4*len(f.rHi)
 }
 
-// skipped reports whether id appears in the sorted skip list. Skip lists
-// are the overlay's deleted-rule IDs and stay tiny (compaction re-freezes
-// past a threshold), and the check runs only on candidate matches, so a
-// branch-free-ish binary search is plenty.
-//
-//nm:hotpath
-func skipped(skip []int, id int) bool {
-	lo, hi := 0, len(skip)-1
-	for lo <= hi {
-		mid := int(uint(lo+hi) >> 1)
-		v := skip[mid]
-		if v < id {
-			lo = mid + 1
-		} else if v > id {
-			hi = mid - 1
-		} else {
-			return true
-		}
-	}
-	return false
-}
-
 // matchRule verifies packet p against compiled rule ri with a branch-light
 // lockstep scan over the SoA bounds: one unsigned-subtract range check per
 // field, AND-accumulated so the loop carries no data-dependent branches.
@@ -246,7 +224,7 @@ func (f *Frozen) scanBucket(start, n int32, p rules.Packet, bestPrio int32, skip
 		if f.rPrio[ri] >= bestPrio {
 			break
 		}
-		if f.matchRule(ri, p) && !skipped(skip, f.rID[ri]) {
+		if f.matchRule(ri, p) && !rules.Skipped(skip, f.rID[ri]) {
 			best = f.rID[ri]
 			bestPrio = f.rPrio[ri]
 		}

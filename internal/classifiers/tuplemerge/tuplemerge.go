@@ -171,10 +171,9 @@ type Classifier struct {
 }
 
 var (
-	_ rules.BoundedClassifier      = (*Classifier)(nil)
-	_ rules.BatchBoundedClassifier = (*Classifier)(nil)
-	_ rules.Updatable              = (*Classifier)(nil)
-	_ rules.Freezable              = (*Classifier)(nil)
+	_ rules.BoundedClassifier = (*Classifier)(nil)
+	_ rules.Updatable         = (*Classifier)(nil)
+	_ rules.Freezable         = (*Classifier)(nil)
 )
 
 // New builds a TupleMerge classifier over a snapshot of rs.
@@ -426,11 +425,6 @@ func (c *Classifier) Lookup(p rules.Packet) int {
 func (c *Classifier) LookupWithBound(p rules.Packet, bestPrio int32) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.lookupLocked(p, bestPrio)
-}
-
-// lookupLocked scans the tables under the running bound.
-func (c *Classifier) lookupLocked(p rules.Packet, bestPrio int32) int {
 	best := rules.NoMatch
 	for ti, bp := range c.prios {
 		if bp >= bestPrio {
@@ -453,17 +447,6 @@ func (c *Classifier) lookupLocked(p rules.Packet, bestPrio int32) int {
 		}
 	}
 	return best
-}
-
-// LookupBatchWithBound implements rules.BatchBoundedClassifier: one lock
-// acquisition serves the whole batch, and consecutive packets walk the
-// same (cache-hot) table list. Results equal per-packet LookupWithBound.
-func (c *Classifier) LookupBatchWithBound(pkts []rules.Packet, bounds []int32, out []int) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for i, p := range pkts {
-		out[i] = c.lookupLocked(p, bounds[i])
-	}
 }
 
 // MemoryFootprint implements rules.Classifier with the same accounting as

@@ -12,21 +12,25 @@ import (
 )
 
 // This file is the backend-differential matrix: every proof suite in it
-// iterates over FreezableRemainders(), so a remainder backend registered
-// with RegisterFreezableRemainder is swept automatically — the frozen-form
-// contracts (live equivalence, skip-list masking, detachment, batch
-// semantics) and the engine-level overlay machinery are proven per backend,
-// not once for TupleMerge and assumed for the rest.
+// iterates over updateBackends, the registered remainders that take online
+// updates, so the frozen-form contracts (live equivalence, skip-list
+// masking, detachment, batch semantics) and the engine-level overlay
+// machinery are proven per backend, not once for TupleMerge and assumed
+// for the rest.
 
-// buildFreezableBackend resolves a registered Freezable backend by name and
-// asserts the full contract the engine relies on: Freezable for snapshot
-// compilation, Updatable for the online path, BatchBoundedClassifier for
-// the batched remainder probe.
-func buildFreezableBackend(t *testing.T, name string, rs *rules.RuleSet) (rules.Freezable, rules.Updatable, rules.BatchBoundedClassifier) {
+// updateBackends are the registered remainder backends that take online
+// updates.
+var updateBackends = []string{"tuplemerge", "rvh"}
+
+// buildFreezableBackend resolves a registered backend by name and asserts
+// the full contract the engine relies on: Freezable for snapshot
+// compilation, Updatable for the online path, BoundedClassifier for the
+// live reference the frozen form is checked against.
+func buildFreezableBackend(t *testing.T, name string, rs *rules.RuleSet) (rules.Freezable, rules.Updatable, rules.BoundedClassifier) {
 	t.Helper()
 	b, ok := RemainderBuilderFor(name)
 	if !ok {
-		t.Fatalf("backend %q marked Freezable but has no registered builder", name)
+		t.Fatalf("backend %q has no registered builder", name)
 	}
 	cls, err := b(rs)
 	if err != nil {
@@ -43,40 +47,31 @@ func buildFreezableBackend(t *testing.T, name string, rs *rules.RuleSet) (rules.
 	if !ok {
 		t.Fatalf("backend %q does not implement rules.Updatable", name)
 	}
-	bb, ok := cls.(rules.BatchBoundedClassifier)
+	bc, ok := cls.(rules.BoundedClassifier)
 	if !ok {
-		t.Fatalf("backend %q does not implement rules.BatchBoundedClassifier", name)
+		t.Fatalf("backend %q does not implement rules.BoundedClassifier", name)
 	}
-	return fz, up, bb
+	return fz, up, bc
 }
 
-// forEachBackend runs fn once per registered Freezable backend as a subtest.
+// forEachBackend runs fn once per update backend as a subtest.
 func forEachBackend(t *testing.T, fn func(t *testing.T, name string)) {
-	names := FreezableRemainders()
-	if len(names) < 2 {
-		t.Fatalf("expected at least tuplemerge and rvh registered, got %v", names)
-	}
-	for _, name := range names {
+	for _, name := range updateBackends {
 		t.Run(name, func(t *testing.T) { fn(t, name) })
 	}
 }
 
-// TestBackendRegistryLists pins the registry contents: the two production
-// backends are present, sorted, and resolvable.
+// TestBackendRegistryLists pins the core registry contents: the update
+// backends resolve by name, and names of removed remainders do not.
 func TestBackendRegistryLists(t *testing.T) {
-	names := FreezableRemainders()
-	if !sort.StringsAreSorted(names) {
-		t.Fatalf("FreezableRemainders() not sorted: %v", names)
-	}
-	want := map[string]bool{"rvh": false, "tuplemerge": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
+	for _, name := range updateBackends {
+		if _, ok := RemainderBuilderFor(name); !ok {
+			t.Fatalf("backend %q is not registered", name)
 		}
 	}
-	for n, seen := range want {
-		if !seen {
-			t.Fatalf("production backend %q missing from FreezableRemainders() = %v", n, names)
+	for _, name := range []string{"auto", "tss", "linear"} {
+		if _, ok := RemainderBuilderFor(name); ok {
+			t.Fatalf("removed remainder %q still resolves", name)
 		}
 	}
 }
@@ -89,7 +84,7 @@ func TestBackendFrozenAgreesWithLive(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, name string) {
 		rng := rand.New(rand.NewSource(171))
 		rs := structuredRuleSet(rng, 800)
-		fz, _, bb := buildFreezableBackend(t, name, rs)
+		fz, _, bc := buildFreezableBackend(t, name, rs)
 		f := fz.Freeze()
 		if f.Len() != rs.Len() {
 			t.Fatalf("frozen Len = %d, rules = %d", f.Len(), rs.Len())
@@ -104,7 +99,7 @@ func TestBackendFrozenAgreesWithLive(t *testing.T) {
 				bound = int32(rng.Intn(rs.Len() + 1))
 			}
 			got := f.Lookup(p, bound, nil)
-			want := bb.LookupWithBound(p, bound)
+			want := bc.LookupWithBound(p, bound)
 			if got != want {
 				t.Fatalf("packet %v bound %d: frozen %d, live %d", p, bound, got, want)
 			}

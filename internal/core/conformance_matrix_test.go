@@ -7,8 +7,8 @@ import (
 )
 
 // TestConformanceMatrix sweeps every ClassBench application profile through
-// every production remainder backend — tuplemerge, rvh, and the auto
-// selector — in two lifecycle modes (freshly built, 20% churned), plus a
+// both update-capable remainder backends — tuplemerge and rvh — in two
+// lifecycle modes (freshly built, 20% churned), plus a
 // churn-with-autopilot-retraining mode on the default backend. Each cell
 // asserts that every lookup path (scalar, batch, parallel) agrees exactly
 // with the linear reference, and that BuildStats records the backend that
@@ -16,7 +16,7 @@ import (
 // application family.
 func TestConformanceMatrix(t *testing.T) {
 	profiles := classbench.Profiles()
-	backends := []string{"tuplemerge", "rvh", AutoRemainder}
+	backends := updateBackends
 	size, pool, probes := 240, 400, 300
 	if testing.Short() {
 		// One profile per family: acl1, fw1, ipc1.
@@ -31,12 +31,7 @@ func TestConformanceMatrix(t *testing.T) {
 					opts.RemainderName = backend
 					d := newChurnDriver(t, prof, size, pool, opts, 100+int64(pi))
 					st := d.e.Stats()
-					if backend == AutoRemainder {
-						if !st.RemainderAutoSelected || st.RemainderBackend == "" {
-							t.Fatalf("auto-select not recorded: backend=%q auto=%v",
-								st.RemainderBackend, st.RemainderAutoSelected)
-						}
-					} else if st.RemainderBackend != backend {
+					if st.RemainderBackend != backend {
 						t.Fatalf("BuildStats.RemainderBackend = %q, want %q", st.RemainderBackend, backend)
 					}
 					if mode == "churn" {

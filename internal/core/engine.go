@@ -44,22 +44,14 @@ type Options struct {
 	// per rqrmi.DefaultConfig for the iSet's size.
 	RQRMI rqrmi.Config
 	// Remainder builds the external classifier; nil means TupleMerge with
-	// the paper's settings. A rules.Freezable classifier (TupleMerge is) is
-	// compiled into each published snapshot and served lock-free with a
-	// delta overlay for online updates. A non-freezable classifier is
-	// called live instead; if the engine then serves lookups concurrently
-	// with Insert/Delete, it must support its own concurrent Lookup racing
-	// its own updates.
+	// the paper's settings. Its product must be rules.Freezable (Build
+	// rejects any other): the classifier is compiled into each published
+	// snapshot and served lock-free, with a delta overlay for online
+	// updates. Online updates additionally need rules.Updatable (TupleMerge
+	// and RVH are; the static decision-tree baselines are not).
 	Remainder rules.Builder
 	// RemainderName selects the remainder by registry name instead of by
-	// builder, taking precedence over Remainder when non-empty. The special
-	// name AutoRemainder ("auto") builds every registered Freezable backend
-	// over the actual remainder rule distribution, scores them (build time,
-	// frozen-lookup microbenchmark on a sampled trace, memory footprint),
-	// and keeps the winner — recording the choice and the per-candidate
-	// scores in BuildStats. Because Retrain re-applies the stored options,
-	// an auto-selected engine re-runs the selection at every retrain, so
-	// the backend tracks the workload as the rule distribution drifts.
+	// builder, taking precedence over Remainder when non-empty.
 	RemainderName string
 	// ISetFields optionally restricts which fields may carry iSets.
 	ISetFields []int
@@ -121,17 +113,8 @@ type BuildStats struct {
 	MaxSearchDistance int
 	// Train carries the per-iSet training statistics.
 	Train []rqrmi.TrainStats
-	// RemainderBackend is the Name() of the remainder classifier actually
-	// serving: the configured builder's product, or the auto-select winner.
+	// RemainderBackend is the Name() of the remainder classifier serving.
 	RemainderBackend string
-	// RemainderAutoSelected reports whether RemainderBackend was chosen by
-	// the "auto" workload scoring rather than configured explicitly.
-	RemainderAutoSelected bool
-	// RemainderScores holds the per-candidate measurements of the auto
-	// selection (nil unless Options.RemainderName was AutoRemainder). The
-	// scores are diagnostics of this build — they are not serialized; a
-	// loaded engine keeps only the recorded RemainderBackend.
-	RemainderScores []RemainderScore
 }
 
 // Engine is a built NuevoMatch classifier. Lookups are lock-free: they load
@@ -165,24 +148,22 @@ type Engine struct {
 	// fieldLo/fieldHi are the flat field bounds shared by all snapshots.
 	fieldLo, fieldHi []uint32
 
-	remainder      rules.Classifier
+	remainder      rules.Freezable
 	remainderRules *rules.RuleSet // current remainder content (for rebuild/stats)
 	// remPos maps each remainder rule ID to its index in
 	// remainderRules.Rules, so a delete swap-removes its rule in O(1).
 	remPos map[int]int
-	// remFrozen is the compiled form of the remainder (nil when the
-	// classifier is not rules.Freezable) and remOverlay the immutable delta
-	// of updates since that freeze; published snapshots share both, so they
-	// are maintained copy-on-write and re-frozen past the compaction
-	// threshold (overlay.go).
+	// remFrozen is the compiled form of the remainder and remOverlay the
+	// immutable delta of updates since that freeze; published snapshots
+	// share both, so they are maintained copy-on-write and re-frozen past
+	// the compaction threshold (overlay.go).
 	remFrozen  rules.FrozenClassifier
 	remOverlay *remOverlay
 	// remIDs/remPrios are the remainder's (id, priority) table sorted by
-	// ID, shared with published snapshots and therefore never mutated in
-	// place. With a frozen remainder the table is as of the last freeze:
-	// refreezeRemainderLocked folds the overlay into it, and lookups consult
-	// the overlay first (remainderAdapter.prioOf). Without one it tracks
-	// every update (updates.go).
+	// ID as of the last freeze, shared with published snapshots and
+	// therefore never mutated in place: refreezeRemainderLocked folds the
+	// overlay into it, and lookups consult the overlay first
+	// (remainderAdapter.prioOf).
 	remIDs   []int
 	remPrios []int32
 
@@ -274,14 +255,12 @@ func Build(rs *rules.RuleSet, opts Options) (*Engine, error) {
 
 	e.remainderRules = e.rs.Subset(part.Remainder)
 	e.remPos = e.remainderRules.IndexByID()
-	rem, sel, err := buildRemainder(opts, e.remainderRules)
+	rem, err := buildRemainder(opts, e.remainderRules)
 	if err != nil {
 		return nil, fmt.Errorf("core: building remainder: %w", err)
 	}
 	e.remainder = rem
-	e.stats.RemainderBackend = sel.backend
-	e.stats.RemainderAutoSelected = sel.auto
-	e.stats.RemainderScores = sel.scores
+	e.stats.RemainderBackend = rem.Name()
 	e.remIDs, e.remPrios = sortedRemainderTable(e.remainderRules)
 	e.refreezeRemainderLocked()
 	e.parPool = make(chan *parWorker, 2)
@@ -289,22 +268,38 @@ func Build(rs *rules.RuleSet, opts Options) (*Engine, error) {
 	return e, nil
 }
 
+// buildRemainder builds the remainder classifier over rs: through the
+// registry when opts.RemainderName is set, with opts.Remainder otherwise.
+// The product must be rules.Freezable, the only form the snapshot serves.
+func buildRemainder(opts Options, rs *rules.RuleSet) (rules.Freezable, error) {
+	b := opts.Remainder
+	if name := opts.RemainderName; name != "" {
+		var ok bool
+		if b, ok = RemainderBuilderFor(name); !ok {
+			return nil, fmt.Errorf("unknown remainder classifier %q (register it with RegisterRemainder)", name)
+		}
+	}
+	c, err := b(rs)
+	if err != nil {
+		return nil, err
+	}
+	fz, ok := c.(rules.Freezable)
+	if !ok {
+		return nil, fmt.Errorf("remainder classifier %q is not rules.Freezable", c.Name())
+	}
+	return fz, nil
+}
+
 // refreezeRemainderLocked compiles the remainder's current contents into a
 // fresh frozen form, folds the overlay's delta into the (id, priority)
 // table and resets the overlay to empty. Called at build time and whenever
-// the overlay outgrows the compaction threshold. Non-freezable remainders
-// leave both nil and the snapshot falls back to calling the live
-// classifier.
+// the overlay outgrows the compaction threshold.
 func (e *Engine) refreezeRemainderLocked() {
 	if e.remOverlay != nil {
 		e.remIDs, e.remPrios = e.remOverlay.foldInto(e.remIDs, e.remPrios)
 	}
-	if fz, ok := e.remainder.(rules.Freezable); ok {
-		e.remFrozen = fz.Freeze()
-		e.remOverlay = &remOverlay{numFields: e.rs.NumFields}
-	} else {
-		e.remFrozen, e.remOverlay = nil, nil
-	}
+	e.remFrozen = e.remainder.Freeze()
+	e.remOverlay = &remOverlay{numFields: e.rs.NumFields}
 }
 
 // flattenRules packs the built rules' metadata and field bounds into the
@@ -347,7 +342,7 @@ func (e *Engine) publishLocked() {
 		fieldLo:   e.fieldLo,
 		fieldHi:   e.fieldHi,
 		isets:     e.isets,
-		rem:       newRemainderAdapter(e.remainder, e.remFrozen, e.remOverlay, e.remIDs, e.remPrios),
+		rem:       newRemainderAdapter(e.remFrozen, e.remOverlay, e.remIDs, e.remPrios),
 	}
 	e.publishes++
 	e.snap.Store(s)

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -212,30 +213,15 @@ func TestBuildRejectsInvalidRuleSet(t *testing.T) {
 	}
 }
 
-func TestLinearRemainderUnboundedPath(t *testing.T) {
-	// Exercise queryRemainder's non-bounded path via a wrapper that hides
-	// LookupWithBound.
+// TestBuildRejectsNonFreezableRemainder checks that Build refuses a
+// remainder without a frozen form, naming it in the error.
+func TestBuildRejectsNonFreezableRemainder(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	rs := structuredRuleSet(rng, 200)
 	opts := fastOpts()
-	opts.Remainder = func(sub *rules.RuleSet) (rules.Classifier, error) {
-		return plainOnly{linear.New(sub)}, nil
-	}
-	e, err := Build(rs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 800; i++ {
-		p := conformance.RandomPacket(rng, rs)
-		if got, want := e.Lookup(p), rs.MatchID(p); got != want {
-			t.Fatalf("Lookup(%v) = %d, want %d", p, got, want)
-		}
+	opts.Remainder = linear.Build
+	_, err := Build(rs, opts)
+	if err == nil || !strings.Contains(err.Error(), `"linear"`) {
+		t.Fatalf("Build with the linear remainder: error %v, want one naming \"linear\"", err)
 	}
 }
-
-// plainOnly strips the BoundedClassifier interface from a classifier.
-type plainOnly struct{ c rules.Classifier }
-
-func (p plainOnly) Name() string               { return p.c.Name() }
-func (p plainOnly) Lookup(pk rules.Packet) int { return p.c.Lookup(pk) }
-func (p plainOnly) MemoryFootprint() int       { return p.c.MemoryFootprint() }

@@ -333,11 +333,11 @@ func FuzzRemainderDifferential(f *testing.F) {
 			name string
 			fz   rules.Freezable
 			up   rules.Updatable
-			bb   rules.BatchBoundedClassifier
+			bc   rules.BoundedClassifier
 		}
 		var backends []backend
-		for _, name := range FreezableRemainders() {
-			b, ok := remainderBuilder(name)
+		for _, name := range updateBackends {
+			b, ok := RemainderBuilderFor(name)
 			if !ok {
 				t.Fatalf("backend %q has no builder", name)
 			}
@@ -349,7 +349,7 @@ func FuzzRemainderDifferential(f *testing.F) {
 				name: name,
 				fz:   cls.(rules.Freezable),
 				up:   cls.(rules.Updatable),
-				bb:   cls.(rules.BatchBoundedClassifier),
+				bc:   cls.(rules.BoundedClassifier),
 			})
 		}
 		if len(backends) < 2 {
@@ -371,7 +371,7 @@ func FuzzRemainderDifferential(f *testing.F) {
 		verify := func(p rules.Packet, bound int32) {
 			want := refBound(p, bound)
 			for _, b := range backends {
-				if got := b.bb.LookupWithBound(p, bound); got != want {
+				if got := b.bc.LookupWithBound(p, bound); got != want {
 					t.Fatalf("%s: LookupWithBound(%v, %d) = %d, want %d (live %d)",
 						b.name, p, bound, got, want, mirror.Len())
 				}
@@ -462,20 +462,20 @@ func FuzzRemainderDifferential(f *testing.F) {
 				for _, p := range cornerProbes(mirror, 8) {
 					verify(p, 1<<30)
 				}
-			case 6: // batched live differential over collected probes
+			case 6: // batched differential of a fresh freeze over collected probes
 				if len(probes) == 0 {
 					continue
 				}
 				bounds := make([]int32, len(probes))
-				for i := range bounds {
-					bounds[i] = 1 << 30
-				}
 				out := make([]int, len(probes))
 				for _, b := range backends {
-					b.bb.LookupBatchWithBound(probes, bounds, out)
+					for i := range probes {
+						bounds[i], out[i] = 1<<30, rules.NoMatch
+					}
+					b.fz.Freeze().LookupBatch(probes, bounds, nil, out)
 					for i, p := range probes {
 						if want := refBound(p, 1<<30); out[i] != want {
-							t.Fatalf("%s: live batch[%d] = %d, want %d", b.name, i, out[i], want)
+							t.Fatalf("%s: frozen batch[%d] = %d, want %d", b.name, i, out[i], want)
 						}
 					}
 				}

@@ -410,6 +410,10 @@ func TestClusterLoadQuarantinesTornShard(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Hold the background rebuild failing until the degraded state has been
+	// inspected: a retrain now fits in milliseconds and could otherwise
+	// clear the quarantine before it is read.
+	faultinject.Enable(faultinject.PointRetrainBuild, faultinject.Rule{})
 	c, err := LoadClusterDir(dir, nil)
 	if err != nil {
 		t.Fatalf("quarantine load: %v", err)
@@ -432,6 +436,8 @@ func TestClusterLoadQuarantinesTornShard(t *testing.T) {
 			t.Fatalf("degraded Lookup(%v) = %d, want %d", p, got, want)
 		}
 	}
-	// The background rebuild retrains the fallback and clears quarantine.
+	// Once builds succeed again, the background rebuild retrains the
+	// fallback and clears quarantine.
+	faultinject.Disable(faultinject.PointRetrainBuild)
 	waitHealthy(t, c)
 }

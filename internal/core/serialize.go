@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -91,58 +90,27 @@ const (
 // --- remainder builder registry -------------------------------------------
 
 var (
-	remainderRegMu    sync.RWMutex
-	remainderByName   = map[string]rules.Builder{}
-	freezableRemNames = map[string]bool{}
+	remainderRegMu  sync.RWMutex
+	remainderByName = map[string]rules.Builder{}
 )
 
-// RegisterRemainder makes a remainder builder loadable by name: Engine.WriteTo
-// records the remainder classifier's Name(), and ReadEngine resolves it back
-// to a builder through this registry to reconstruct the classifier from the
-// serialized remainder rules. The core package registers "tuplemerge" and
-// "rvh" (the production Freezable backends); the public nuevomatch package
-// registers the other bundled classifiers. Registering an existing name
-// replaces it.
+// RegisterRemainder makes a remainder builder resolvable by name: by
+// Options.RemainderName at build time, and by ReadEngine, which resolves the
+// remainder Name() that Engine.WriteTo records back to a builder to
+// reconstruct the classifier from the serialized remainder rules. The
+// builder's product must be rules.Freezable. The core package registers
+// "tuplemerge" and "rvh"; the public nuevomatch package registers the
+// decision-tree baselines. Registering an existing name replaces it.
 func RegisterRemainder(name string, b rules.Builder) {
 	remainderRegMu.Lock()
 	defer remainderRegMu.Unlock()
 	remainderByName[name] = b
-	delete(freezableRemNames, name)
-}
-
-// RegisterFreezableRemainder registers b like RegisterRemainder and
-// additionally marks it as a production Freezable backend: its classifiers
-// compile into lock-free frozen forms, so the name is a candidate for the
-// "auto" remainder selection and a subject of the backend-parameterized
-// proof suites. The builder's product must implement rules.Freezable.
-func RegisterFreezableRemainder(name string, b rules.Builder) {
-	remainderRegMu.Lock()
-	defer remainderRegMu.Unlock()
-	remainderByName[name] = b
-	freezableRemNames[name] = true
-}
-
-// FreezableRemainders returns the sorted names of the registered Freezable
-// backends — the auto-select candidate set.
-func FreezableRemainders() []string {
-	remainderRegMu.RLock()
-	defer remainderRegMu.RUnlock()
-	names := make([]string, 0, len(freezableRemNames))
-	for name := range freezableRemNames {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // RemainderBuilderFor returns the registered builder for name. Load paths
-// use it to resolve an explicitly requested backend up front instead of
-// failing inside the engine build.
+// also use it to resolve an explicitly requested backend up front instead
+// of failing inside the engine build.
 func RemainderBuilderFor(name string) (rules.Builder, bool) {
-	return remainderBuilder(name)
-}
-
-func remainderBuilder(name string) (rules.Builder, bool) {
 	remainderRegMu.RLock()
 	defer remainderRegMu.RUnlock()
 	b, ok := remainderByName[name]
@@ -150,8 +118,8 @@ func remainderBuilder(name string) (rules.Builder, bool) {
 }
 
 func init() {
-	RegisterFreezableRemainder("tuplemerge", tuplemerge.Build)
-	RegisterFreezableRemainder("rvh", rvh.Build)
+	RegisterRemainder("tuplemerge", tuplemerge.Build)
+	RegisterRemainder("rvh", rvh.Build)
 }
 
 // --- writing ---------------------------------------------------------------
@@ -457,7 +425,7 @@ func readEngineBody(data []byte, remainder rules.Builder) (*Engine, error) {
 	opts.RQRMI = cfg
 
 	if remainder == nil {
-		b, ok := remainderBuilder(remName)
+		b, ok := RemainderBuilderFor(remName)
 		if !ok {
 			return nil, fmt.Errorf("core: unknown remainder classifier %q (register it with RegisterRemainder or pass a builder override)", remName)
 		}
@@ -656,14 +624,11 @@ func assembleEngine(opts Options, rs *rules.RuleSet, liveBitmap []byte, isets []
 
 	e.remainderRules = remainderRules
 	e.remPos = remainderRules.IndexByID()
-	rem, err := opts.Remainder(remainderRules)
+	rem, err := buildRemainder(opts, remainderRules)
 	if err != nil {
 		return nil, fmt.Errorf("core: rebuilding remainder: %w", err)
 	}
 	e.remainder = rem
-	// The artifact records which backend served (including an auto-select
-	// winner); the per-candidate scores are build diagnostics and are not
-	// serialized.
 	e.stats.RemainderBackend = rem.Name()
 	e.remIDs, e.remPrios = sortedRemainderTable(remainderRules)
 	e.refreezeRemainderLocked()

@@ -12,10 +12,9 @@ import (
 	"nuevomatch/internal/rules"
 )
 
-// Serialization proofs for the rvh backend and the auto selector: the codec
-// records the remainder by Name() and Load resolves it through the
-// registry, so every backend (and the auto winner) must round-trip with the
-// backend choice intact.
+// Serialization proofs for the rvh backend: the codec records the
+// remainder by Name() and Load resolves it through the registry, so every
+// backend must round-trip with the backend choice intact.
 
 // TestTableRoundTripRVH proves Save→Load equivalence with rvh serving as
 // the remainder, fresh and drifted, and that the loaded engine reports the
@@ -66,75 +65,6 @@ func TestTableRoundTripRVH(t *testing.T) {
 	}
 }
 
-// TestTableRoundTripAutoSelect proves the auto-select decision survives
-// persistence: Save records the winner's name, and Load rebuilds exactly
-// that backend (no re-selection, no scores).
-func TestTableRoundTripAutoSelect(t *testing.T) {
-	prof, err := classbench.ProfileByName("fw2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := fastOpts()
-	opts.RemainderName = AutoRemainder
-	d := newChurnDriver(t, prof, 200, 120, opts, 8400)
-
-	st := d.e.Stats()
-	if !st.RemainderAutoSelected {
-		t.Fatal("BuildStats.RemainderAutoSelected = false under RemainderName auto")
-	}
-	if st.RemainderBackend != d.e.remainder.Name() {
-		t.Fatalf("recorded backend %q != active remainder %q", st.RemainderBackend, d.e.remainder.Name())
-	}
-	want := FreezableRemainders()
-	if len(st.RemainderScores) != len(want) {
-		t.Fatalf("got %d candidate scores, want %d (%v)", len(st.RemainderScores), len(want), want)
-	}
-	selected := 0
-	for i, s := range st.RemainderScores {
-		if s.Name != want[i] {
-			t.Fatalf("score[%d].Name = %q, want %q (sorted candidate order)", i, s.Name, want[i])
-		}
-		if s.Err != "" {
-			t.Fatalf("candidate %q failed: %s", s.Name, s.Err)
-		}
-		if s.Score <= 0 || s.LookupNs <= 0 {
-			t.Fatalf("candidate %q has unmeasured score: %+v", s.Name, s)
-		}
-		if s.Selected {
-			selected++
-			if s.Name != st.RemainderBackend {
-				t.Fatalf("selected candidate %q != recorded backend %q", s.Name, st.RemainderBackend)
-			}
-		}
-	}
-	if selected != 1 {
-		t.Fatalf("want exactly one selected candidate, got %d", selected)
-	}
-
-	// Drift a little, save, load: the winner's name rides the codec; the
-	// selection itself (scores) is a build-time diagnostic and does not.
-	for d.inserts+d.deletes < 40 {
-		d.step()
-	}
-	blob := saveEngine(t, d.e)
-	loaded, err := ReadEngine(bytes.NewReader(blob), nil)
-	if err != nil {
-		t.Fatalf("ReadEngine: %v", err)
-	}
-	defer loaded.Close()
-	ls := loaded.Stats()
-	if ls.RemainderBackend != st.RemainderBackend {
-		t.Fatalf("loaded backend %q != saved winner %q", ls.RemainderBackend, st.RemainderBackend)
-	}
-	if ls.RemainderAutoSelected {
-		t.Fatal("loaded engine claims auto-selection ran (it must not on Load)")
-	}
-	if len(ls.RemainderScores) != 0 {
-		t.Fatalf("scores survived serialization: %+v", ls.RemainderScores)
-	}
-	verifyLoadedEquivalence(t, d.e, loaded, d.mirror, d.rng, 300)
-}
-
 // TestReadEngineUnknownRVHName exercises the registry-miss error path with
 // an rvh-backed table: a wrapper renames the classifier at save time, so
 // the plain load must fail naming the unknown backend, and a builder
@@ -154,7 +84,7 @@ func TestReadEngineUnknownRVHName(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return renamed{c, "rvh-experimental"}, nil
+		return renamed{c.(rules.Freezable), "rvh-experimental"}, nil
 	}
 	opts := fastOpts()
 	opts.Remainder = named

@@ -267,7 +267,7 @@ func TestReadEngineUnknownRemainder(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return renamed{c, "custom-remainder"}, nil
+		return renamed{c.(rules.Freezable), "custom-remainder"}, nil
 	}
 	opts := fastOpts()
 	opts.Remainder = named
@@ -289,9 +289,9 @@ func TestReadEngineUnknownRemainder(t *testing.T) {
 	verifyLoadedEquivalence(t, e, loaded, d.mirror, d.rng, 200)
 }
 
-// renamed wraps a classifier under a different Name.
+// renamed wraps a remainder under a different Name.
 type renamed struct {
-	rules.Classifier
+	rules.Freezable
 	name string
 }
 

@@ -37,8 +37,8 @@ func liveBit(bits []byte, pos int) bool { return bits[pos>>3]&(1<<(pos&7)) != 0 
 // either never mutated after publication (meta, fieldLo/fieldHi, isets,
 // the frozen remainder and its overlay, adapter tables) or copied before
 // mutation (live). The §3.9 online-update remainder is served by the
-// compiled frozen form plus the update overlay, so steady-state lookups
-// never touch the live classifier's synchronization.
+// compiled frozen form plus the update overlay, so lookups never touch the
+// live classifier.
 //
 //nm:immutable
 type snapshot struct {
@@ -59,8 +59,7 @@ type snapshot struct {
 	// isets are the trained RQ-RMI indexes; their payloads are positions
 	// into meta and are never rewritten.
 	isets []isetIndex
-	// rem is the precomputed remainder adapter (no per-lookup type
-	// assertion).
+	// rem is the frozen remainder with its overlay.
 	rem remainderAdapter
 }
 
@@ -204,84 +203,50 @@ func (s *snapshot) lookupBatch(pkts []rules.Packet, out []int) {
 			s.rem.prefetch.PrefetchBatch(block)
 		}
 		s.isetChunk(block, keys, ents, best[:n], bestPrio[:n])
-		if s.rem.frozen != nil {
-			// Frozen path: pre-fill with the iSet winners, then let the
-			// overlay scan and the compiled table-major batch walk improve
-			// them in place. No locks, no allocation.
-			for c := range block {
-				out[off+c] = best[c]
-			}
-			s.rem.overlay.scanBatch(block, bestPrio[:n], out[off:off+n])
-			s.rem.frozen.LookupBatch(block, bestPrio[:n], s.rem.overlay.del, out[off:off+n])
-		} else if s.rem.batch != nil {
-			// One remainder call per chunk: a single lock acquisition and
-			// cache-hot tables serve all n packets.
-			//nm:allow hotpath: non-freezable remainder fallback; the classifier may lock internally, which is why freezable remainders are the default
-			s.rem.batch.LookupBatchWithBound(block, bestPrio[:n], out[off:off+n])
-			for c := range block {
-				if out[off+c] < 0 {
-					out[off+c] = best[c]
-				}
-			}
-		} else {
-			for c, p := range block {
-				if id := s.rem.lookupWithBound(p, bestPrio[c]); id >= 0 {
-					out[off+c] = id
-				} else {
-					out[off+c] = best[c]
-				}
-			}
+		// Pre-fill with the iSet winners, then let the overlay scan and the
+		// compiled table-major batch walk improve them in place. No locks,
+		// no allocation.
+		for c := range block {
+			out[off+c] = best[c]
 		}
+		s.rem.overlay.scanBatch(block, bestPrio[:n], out[off:off+n])
+		s.rem.frozen.LookupBatch(block, bestPrio[:n], s.rem.overlay.del, out[off:off+n])
 	}
 	batchScratchPool.Put(scr)
 }
 
 // --- remainder adapter ----------------------------------------------------
 
-// remainderAdapter binds the external remainder classifier into the
-// snapshot. When the classifier is rules.Freezable (TupleMerge is), the
-// adapter carries the compiled frozen form plus the immutable update
-// overlay, and the whole remainder query runs lock-free against flat
-// arrays: overlay additions are scanned in priority order, frozen tables
-// are walked with deleted rules masked by the overlay's sorted skip list.
-// Otherwise it falls back to calling the live classifier with its
-// bound-support resolved once at publish time instead of by a per-call type
-// assertion. It also carries a sorted (id, priority) table of the remainder
-// rules, so the priority comparisons of the merge paths are binary searches
-// over flat slices instead of map accesses.
+// remainderAdapter binds the compiled frozen remainder into the snapshot
+// together with the immutable update overlay, so the whole remainder query
+// runs lock-free against flat arrays: overlay additions are scanned in
+// priority order, frozen tables are walked with deleted rules masked by the
+// overlay's sorted skip list. It also carries a sorted (id, priority) table
+// of the remainder rules as of the freeze, so the priority comparisons of
+// the merge paths are binary searches over flat slices instead of map
+// accesses.
 //
 //nm:immutable
 type remainderAdapter struct {
-	frozen   rules.FrozenClassifier       // non-nil: compiled lock-free path
-	overlay  *remOverlay                  // updates since the freeze; non-nil iff frozen is
-	prefetch rules.BatchPrefetcher        // non-nil when frozen can pre-warm its probes
-	bounded  rules.BoundedClassifier      // nil when the classifier lacks bounds
-	batch    rules.BatchBoundedClassifier // nil when batched queries are unsupported
-	plain    rules.Classifier
-	// ids/prios are the remainder's (id, priority) table sorted by ID: as
-	// of the freeze when overlay is non-nil (prioOf consults the overlay's
-	// additions first), the current remainder otherwise.
+	frozen   rules.FrozenClassifier
+	overlay  *remOverlay           // updates since the freeze
+	prefetch rules.BatchPrefetcher // non-nil when frozen can pre-warm its probes
+	// ids/prios are the remainder's (id, priority) table sorted by ID, as
+	// of the freeze (prioOf consults the overlay's additions first).
 	ids   []int
 	prios []int32
 }
 
-// newRemainderAdapter resolves the classifier's capabilities once at
-// publish time. frozen/overlay are the write side's current compiled
-// remainder and its delta (nil for non-freezable classifiers); ids/prios
-// are the engine's (sorted, immutable) remainder table. All are maintained
-// copy-on-write by the write side so building an adapter is O(1).
+// newRemainderAdapter binds the write side's current frozen remainder, its
+// overlay and the engine's (sorted, immutable) remainder table. All are
+// maintained copy-on-write by the write side, so building an adapter is
+// O(1).
 //
 //nm:builder remainderAdapter
-func newRemainderAdapter(c rules.Classifier, frozen rules.FrozenClassifier, overlay *remOverlay, ids []int, prios []int32) remainderAdapter {
-	ra := remainderAdapter{plain: c, frozen: frozen, overlay: overlay, ids: ids, prios: prios}
+func newRemainderAdapter(frozen rules.FrozenClassifier, overlay *remOverlay, ids []int, prios []int32) remainderAdapter {
+	ra := remainderAdapter{frozen: frozen, overlay: overlay, ids: ids, prios: prios}
 	if pf, ok := frozen.(rules.BatchPrefetcher); ok {
 		ra.prefetch = pf
-	}
-	if bc, ok := c.(rules.BoundedClassifier); ok {
-		ra.bounded = bc
-	}
-	if bb, ok := c.(rules.BatchBoundedClassifier); ok {
-		ra.batch = bb
 	}
 	return ra
 }
@@ -313,11 +278,9 @@ func sortedRemainderTable(rr *rules.RuleSet) ([]int, []int32) {
 //
 //nm:hotpath
 func (ra *remainderAdapter) prioOf(id int) (int32, bool) {
-	if ra.overlay != nil {
-		for i, aid := range ra.overlay.addID {
-			if aid == id {
-				return ra.overlay.addPrio[i], true
-			}
+	for i, aid := range ra.overlay.addID {
+		if aid == id {
+			return ra.overlay.addPrio[i], true
 		}
 	}
 	lo, hi := 0, len(ra.ids)-1
@@ -337,64 +300,29 @@ func (ra *remainderAdapter) prioOf(id int) (int32, bool) {
 
 // lookupWithBound queries the remainder under the caller's best priority,
 // returning the winning remainder rule ID or -1 when the remainder cannot
-// beat the bound.
+// beat the bound. The overlay's priority-sorted additions tighten the
+// bound before the compiled table walk, so a high-priority insert
+// short-circuits most of the frozen scan.
 //
 //nm:hotpath
 func (ra *remainderAdapter) lookupWithBound(p rules.Packet, bestPrio int32) int {
-	if ra.frozen != nil {
-		// Lock-free path: the overlay's priority-sorted additions tighten
-		// the bound before the compiled table walk, so a high-priority
-		// insert short-circuits most of the frozen scan.
-		best := rules.NoMatch
-		if id, prio := ra.overlay.scan(p, bestPrio); id >= 0 {
-			best, bestPrio = id, prio
-		}
-		if id := ra.frozen.Lookup(p, bestPrio, ra.overlay.del); id >= 0 {
-			best = id
-		}
-		return best
+	best := rules.NoMatch
+	if id, prio := ra.overlay.scan(p, bestPrio); id >= 0 {
+		best, bestPrio = id, prio
 	}
-	if ra.bounded != nil {
-		//nm:allow hotpath: non-freezable remainder fallback; bounded classifier may lock internally
-		return ra.bounded.LookupWithBound(p, bestPrio)
+	if id := ra.frozen.Lookup(p, bestPrio, ra.overlay.del); id >= 0 {
+		best = id
 	}
-	//nm:allow hotpath: non-freezable remainder fallback; plain classifier may lock internally
-	id := ra.plain.Lookup(p)
-	if id < 0 {
-		return rules.NoMatch
-	}
-	if prio, ok := ra.prioOf(id); ok && prio < bestPrio {
-		return id
-	}
-	return rules.NoMatch
-}
-
-// lookupUnboundedID returns the remainder's unbounded winner ID, lock-free
-// on the frozen path.
-//
-//nm:hotpath
-func (ra *remainderAdapter) lookupUnboundedID(p rules.Packet) int {
-	if ra.frozen != nil {
-		return ra.lookupWithBound(p, math.MaxInt32)
-	}
-	//nm:allow hotpath: non-freezable remainder fallback; plain classifier may lock internally
-	return ra.plain.Lookup(p)
+	return best
 }
 
 // lookupUnboundedBatch fills out[i] with the remainder's unbounded winner
-// (or -1) for pkts[i], using the table-major frozen walk when available so
-// each table's tuple and directory stay cache-hot across the chunk. bounds
-// is caller-owned scratch of at least len(pkts) entries.
+// (or -1) for pkts[i], using the table-major frozen walk so each table's
+// tuple and directory stay cache-hot across the chunk. bounds is
+// caller-owned scratch of at least len(pkts) entries.
 //
 //nm:hotpath
 func (ra *remainderAdapter) lookupUnboundedBatch(pkts []rules.Packet, bounds []int32, out []int) {
-	if ra.frozen == nil {
-		for i, p := range pkts {
-			//nm:allow hotpath: non-freezable remainder fallback; plain classifier may lock internally
-			out[i] = ra.plain.Lookup(p)
-		}
-		return
-	}
 	for i := range pkts {
 		out[i] = rules.NoMatch
 		bounds[i] = math.MaxInt32
@@ -408,7 +336,7 @@ func (ra *remainderAdapter) lookupUnboundedBatch(pkts []rules.Packet, bounds []i
 //
 //nm:hotpath
 func (ra *remainderAdapter) lookupUnbounded(p rules.Packet) (id int, prio int32, ok bool) {
-	id = ra.lookupUnboundedID(p)
+	id = ra.lookupWithBound(p, math.MaxInt32)
 	if id < 0 {
 		return rules.NoMatch, 0, false
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"nuevomatch/internal/rules"
 )
@@ -16,8 +15,8 @@ import (
 //     of one bit per built rule — the shared RQ-RMI value arrays and the
 //     rule metadata are never mutated);
 //   - rule additions and matching-set changes always go to the remainder,
-//     which must support fast updates (TupleMerge does) and its own
-//     concurrent lookups;
+//     which must support fast updates (TupleMerge and RVH do) and is
+//     served to lookups through its frozen form plus the update overlay;
 //   - the remainder therefore grows over time, degrading throughput, and
 //     Rebuild retrains the models over the current live rules — the paper's
 //     periodic retraining.
@@ -120,12 +119,8 @@ func (e *Engine) insertLocked(r rules.Rule) error {
 	}
 	e.remPos[r.ID] = len(e.remainderRules.Rules)
 	e.remainderRules.Add(r)
-	if e.remOverlay != nil {
-		e.remOverlay = e.remOverlay.withAdd(r)
-		e.maybeCompactOverlayLocked()
-	} else {
-		e.insertRemainderEntryLocked(r.ID, r.Priority)
-	}
+	e.remOverlay = e.remOverlay.withAdd(r)
+	e.maybeCompactOverlayLocked()
 	e.prioID[r.ID] = r.Priority
 	e.live[r.ID] = true
 	e.ustats.Inserted++
@@ -143,39 +138,6 @@ func (e *Engine) maybeCompactOverlayLocked() {
 		e.refreezeRemainderLocked()
 		e.ustats.OverlayCompactions++
 	}
-}
-
-// insertRemainderEntryLocked adds (id, prio) to the sorted remainder table
-// via copy-on-write: published snapshots keep referencing the old arrays.
-// Only the non-freezable fallback, which has no overlay to defer to, pays
-// this O(remainder) copy per update.
-func (e *Engine) insertRemainderEntryLocked(id int, prio int32) {
-	i := sort.SearchInts(e.remIDs, id)
-	ids := make([]int, len(e.remIDs)+1)
-	copy(ids, e.remIDs[:i])
-	ids[i] = id
-	copy(ids[i+1:], e.remIDs[i:])
-	prios := make([]int32, len(e.remPrios)+1)
-	copy(prios, e.remPrios[:i])
-	prios[i] = prio
-	copy(prios[i+1:], e.remPrios[i:])
-	e.remIDs, e.remPrios = ids, prios
-}
-
-// removeRemainderEntryLocked removes id from the sorted remainder table via
-// copy-on-write (the non-freezable fallback, as above).
-func (e *Engine) removeRemainderEntryLocked(id int) {
-	i := sort.SearchInts(e.remIDs, id)
-	if i >= len(e.remIDs) || e.remIDs[i] != id {
-		return
-	}
-	ids := make([]int, len(e.remIDs)-1)
-	copy(ids, e.remIDs[:i])
-	copy(ids[i:], e.remIDs[i+1:])
-	prios := make([]int32, len(e.remPrios)-1)
-	copy(prios, e.remPrios[:i])
-	copy(prios[i:], e.remPrios[i+1:])
-	e.remIDs, e.remPrios = ids, prios
 }
 
 // Delete removes a rule by ID. Rules indexed by an RQ-RMI are marked dead in
@@ -211,12 +173,8 @@ func (e *Engine) deleteLocked(id int) error {
 			return err
 		}
 		e.removeRemainderRuleLocked(id)
-		if e.remOverlay != nil {
-			e.remOverlay = e.remOverlay.withDelete(id)
-			e.maybeCompactOverlayLocked()
-		} else {
-			e.removeRemainderEntryLocked(id)
-		}
+		e.remOverlay = e.remOverlay.withDelete(id)
+		e.maybeCompactOverlayLocked()
 		e.ustats.DeletedFromRemainder++
 	}
 	delete(e.prioID, id)

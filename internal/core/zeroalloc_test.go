@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"nuevomatch/internal/classifiers/conformance"
+	"nuevomatch/internal/classifiers/cutsplit"
+	"nuevomatch/internal/classifiers/neurocuts"
 	"nuevomatch/internal/rules"
 )
 
@@ -12,38 +14,51 @@ import (
 // design goal: after warm-up, neither the scalar nor the batched lookup
 // path allocates — the whole pipeline (iSet inference, validation, frozen
 // remainder, overlay scan) runs on snapshot-owned flat arrays and stack
-// scratch. The guard runs once per registered Freezable backend (each
-// serving as the engine's remainder), so every backend's frozen lookup
-// paths are held to the same zero-alloc contract as TupleMerge's. The
-// engine is churned first so the overlay path (additions, deletion skip
-// list, and a compaction) is exercised, not just the freshly built state.
-// CI runs this without -race as the benchmark smoke's alloc guard.
+// scratch. The guard runs once per remainder backend (each serving as the
+// engine's remainder), so every backend's frozen lookup paths are held to
+// the same zero-alloc contract as TupleMerge's. The update backends are
+// churned first so the overlay path (additions, deletion skip list, and a
+// compaction) is exercised, not just the freshly built state; the static
+// decision-tree backends take no updates and run as built. CI runs this
+// without -race as the benchmark smoke's alloc guard.
 func TestLookupPathsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are only guaranteed without race instrumentation")
 	}
-	for _, backend := range FreezableRemainders() {
-		t.Run(backend, func(t *testing.T) { lookupPathsZeroAlloc(t, backend) })
+	for _, backend := range updateBackends {
+		t.Run(backend, func(t *testing.T) {
+			opts := fastOpts()
+			opts.RemainderName = backend
+			lookupPathsZeroAlloc(t, opts, true)
+		})
+	}
+	for _, static := range []struct {
+		name  string
+		build rules.Builder
+	}{{"cutsplit", cutsplit.Build}, {"neurocuts", neurocuts.Build}} {
+		t.Run(static.name, func(t *testing.T) {
+			opts := fastOpts()
+			opts.Remainder = static.build
+			lookupPathsZeroAlloc(t, opts, false)
+		})
 	}
 }
 
-func lookupPathsZeroAlloc(t *testing.T, backend string) {
+func lookupPathsZeroAlloc(t *testing.T, opts Options, drift bool) {
 	rng := rand.New(rand.NewSource(91))
 	rs := structuredRuleSet(rng, 400)
-	opts := fastOpts()
-	opts.RemainderName = backend
 	e, err := Build(rs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Drift the engine: deletions land on the skip list, insertions in the
 	// overlay, and enough of both to trip one compaction.
-	for i := 0; i < 30; i++ {
+	for i := 0; drift && i < 30; i++ {
 		if err := e.Delete(rs.Rules[i*2].ID); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 50; i++ {
+	for i := 0; drift && i < 50; i++ {
 		f := make([]rules.Range, 5)
 		for d := range f {
 			lo := rng.Uint32() >> 1

@@ -29,20 +29,6 @@ type BoundedClassifier interface {
 	LookupWithBound(p Packet, bestPrio int32) int
 }
 
-// BatchBoundedClassifier is implemented by classifiers that can serve a
-// whole batch of bounded lookups in one call, amortizing per-lookup costs
-// (lock acquisition, dispatch) across the batch. NuevoMatch's batched hot
-// path uses it to query the remainder once per chunk instead of once per
-// packet.
-type BatchBoundedClassifier interface {
-	BoundedClassifier
-	// LookupBatchWithBound classifies pkts[i] under bounds[i], writing the
-	// winning rule ID (or -1) into out[i]. out and bounds must have at
-	// least len(pkts) entries; bounds is read-only input. Results equal
-	// calling LookupWithBound per packet against the same classifier state.
-	LookupBatchWithBound(pkts []Packet, bounds []int32, out []int)
-}
-
 // Stringer-free sentinel returned by Lookup when nothing matches.
 const NoMatch = -1
 
@@ -78,6 +64,28 @@ type FrozenClassifier interface {
 	LookupBatch(pkts []Packet, bounds []int32, skip []int, out []int)
 }
 
+// Skipped reports whether id appears in skip, a FrozenClassifier skip list
+// (sorted ascending). Skip lists are the update overlay's deleted-rule IDs
+// and stay tiny (compaction re-freezes past a threshold), and frozen
+// lookups check only candidate matches, so a binary search is plenty.
+//
+//nm:hotpath
+func Skipped(skip []int, id int) bool {
+	lo, hi := 0, len(skip)-1
+	for lo <= hi {
+		mid := int(uint(lo+hi) >> 1)
+		v := skip[mid]
+		if v < id {
+			lo = mid + 1
+		} else if v > id {
+			hi = mid - 1
+		} else {
+			return true
+		}
+	}
+	return false
+}
+
 // BatchPrefetcher is optionally implemented by a FrozenClassifier whose
 // probe path is dominated by cache misses on large hash arrays. The batched
 // engine calls PrefetchBatch for a chunk of packets BEFORE running RQ-RMI
@@ -95,10 +103,13 @@ type BatchPrefetcher interface {
 	PrefetchBatch(pkts []Packet)
 }
 
-// Freezable is implemented by updatable classifiers that can compile their
-// current contents into a FrozenClassifier. NuevoMatch freezes its
-// remainder into each published snapshot so the steady-state lookup path
-// never takes the remainder's write-side lock.
+// Freezable is implemented by classifiers that can compile their current
+// contents into a FrozenClassifier. It is the remainder contract: NuevoMatch
+// rejects a remainder that is not Freezable, and freezes the remainder into
+// each published snapshot so the lookup path never takes the remainder's
+// write-side lock. Static classifiers (the decision-tree baselines) freeze
+// to a view of their immutable index; updatable ones (TupleMerge, RVH) also
+// implement Updatable.
 type Freezable interface {
 	Classifier
 	// Freeze compiles the current contents. The result is immutable and

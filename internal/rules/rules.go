@@ -119,6 +119,8 @@ type Rule struct {
 }
 
 // Matches reports whether the packet falls inside the rule's hyper-cube.
+//
+//nm:hotpath
 func (r *Rule) Matches(p Packet) bool {
 	if len(p) < len(r.Fields) {
 		return false

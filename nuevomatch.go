@@ -4,10 +4,8 @@ package nuevomatch
 
 import (
 	"nuevomatch/internal/classifiers/cutsplit"
-	"nuevomatch/internal/classifiers/linear"
 	"nuevomatch/internal/classifiers/neurocuts"
 	"nuevomatch/internal/classifiers/rvh"
-	"nuevomatch/internal/classifiers/tss"
 	"nuevomatch/internal/classifiers/tuplemerge"
 	"nuevomatch/internal/core"
 	"nuevomatch/internal/rqrmi"
@@ -33,9 +31,10 @@ type (
 	BoundedClassifier = rules.BoundedClassifier
 	// Updatable adds online Insert/Delete.
 	Updatable = rules.Updatable
-	// Freezable is an updatable classifier that can compile its contents
-	// into an immutable, lock-free FrozenClassifier (TupleMerge does; the
-	// engine freezes its remainder into every published snapshot).
+	// Freezable is a classifier that can compile its contents into an
+	// immutable, lock-free FrozenClassifier. It is the remainder contract:
+	// the engine freezes its remainder into every published snapshot and
+	// rejects a remainder that is not Freezable.
 	Freezable = rules.Freezable
 	// FrozenClassifier is the compiled, immutable classifier form.
 	FrozenClassifier = rules.FrozenClassifier
@@ -51,12 +50,8 @@ type (
 	// to Open and Load instead.
 	Options = core.Options
 	// BuildStats reports what Open (or Build) produced, including which
-	// remainder backend serves and — under WithRemainder(RemainderAuto) —
-	// the per-candidate selection scores.
+	// remainder backend serves.
 	BuildStats = core.BuildStats
-	// RemainderScore is one remainder auto-select candidate's measurements
-	// (BuildStats.RemainderScores).
-	RemainderScore = core.RemainderScore
 	// UpdateStats tracks drift since the last build (§3.9).
 	UpdateStats = core.UpdateStats
 	// RQRMIConfig tunes per-iSet model training (WithRQRMI).
@@ -143,14 +138,6 @@ const (
 // NoMatch is returned by Lookup when no rule matches.
 const NoMatch = rules.NoMatch
 
-// RemainderAuto is the WithRemainder argument that enables remainder
-// auto-selection: every registered Freezable backend is trained on the
-// actual remainder rule distribution and scored (build time, frozen-lookup
-// microbenchmark, memory footprint); the winner serves, and
-// Stats().RemainderBackend / RemainderScores report the decision. Retrain
-// re-runs the selection, so the backend tracks workload drift.
-const RemainderAuto = core.AutoRemainder
-
 // NewRuleSet returns an empty rule-set over the given number of fields.
 func NewRuleSet(numFields int) *RuleSet { return rules.NewRuleSet(numFields) }
 
@@ -199,42 +186,38 @@ func KernelName() string { return rqrmi.KernelName() }
 // build and host.
 func HasAsmKernel() bool { return rqrmi.HasAsmKernel() }
 
-// RegisterRemainder makes a remainder builder resolvable by classifier name
-// when a saved table is loaded: Save records the remainder's Name(), and
-// Load rebuilds the remainder through this registry (WithRemainder
-// overrides it per call). The bundled classifiers below are pre-registered.
+// RegisterRemainder makes a remainder builder resolvable by classifier
+// name: by WithRemainder(name), and when a saved table is loaded (Save
+// records the remainder's Name(), and Load rebuilds the remainder through
+// this registry; WithRemainder overrides it per call). The builder's
+// product must be Freezable. The bundled classifiers below are
+// pre-registered.
 func RegisterRemainder(name string, b Builder) { core.RegisterRemainder(name, b) }
 
 // Remainder classifier builders for WithRemainder, and standalone baselines
-// for comparison. TupleMerge and RVH are the production Freezable backends
-// (lock-free frozen serving, online updates, auto-select candidates); the
-// others are locked-fallback baselines — correct, update-capable where
-// documented, but served through their own locks rather than a compiled
-// frozen form.
+// for comparison. All are Freezable and served lock-free from their frozen
+// form. TupleMerge and RVH also take online updates; CutSplit and NeuroCuts
+// are the paper's static decision trees, whose frozen form is a view of the
+// built trees, so a table over them rejects Insert and Delete.
 var (
 	// TupleMerge is the update-capable hash-based classifier (default
-	// remainder, Freezable).
+	// remainder).
 	TupleMerge Builder = tuplemerge.Build
-	// RVH is the range-vector-hash classifier (Freezable): interval-index
-	// hashing over boundary vectors derived from the rule distribution,
-	// built for range-heavy rule-sets that defeat prefix tuples.
+	// RVH is the update-capable range-vector-hash classifier:
+	// interval-index hashing over boundary vectors derived from the rule
+	// distribution, built for range-heavy rule-sets that defeat prefix
+	// tuples.
 	RVH Builder = rvh.Build
 	// CutSplit is the decision-tree baseline with binth=8.
 	CutSplit Builder = cutsplit.Build
 	// NeuroCuts is the policy-search decision-tree baseline.
 	NeuroCuts Builder = neurocuts.Build
-	// TupleSpaceSearch is the classic TSS classifier.
-	TupleSpaceSearch Builder = tss.Build
-	// Linear is the priority-ordered scan (correctness reference).
-	Linear Builder = linear.Build
 )
 
 func init() {
-	// "tuplemerge" and "rvh" are registered by the core package itself
-	// (they are the Freezable production backends); the other bundled
-	// classifiers register here so tables saved with them load by name.
+	// "tuplemerge" and "rvh" are registered by the core package itself;
+	// the decision-tree baselines register here so tables saved with them
+	// load by name.
 	RegisterRemainder("cutsplit", cutsplit.Build)
 	RegisterRemainder("neurocuts", neurocuts.Build)
-	RegisterRemainder("tss", tss.Build)
-	RegisterRemainder("linear", linear.Build)
 }

@@ -49,8 +49,7 @@ func TestRemainderBuilders(t *testing.T) {
 		{"tuplemerge", nuevomatch.TupleMerge},
 		{"cutsplit", nuevomatch.CutSplit},
 		{"neurocuts", nuevomatch.NeuroCuts},
-		{"tss", nuevomatch.TupleSpaceSearch},
-		{"linear", nuevomatch.Linear},
+		{"rvh", nuevomatch.RVH},
 	} {
 		e, err := nuevomatch.Build(rs, nuevomatch.Options{Remainder: b.b})
 		if err != nil {

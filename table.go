@@ -75,22 +75,16 @@ func WithMinCoverage(f float64) Option {
 // WithRemainder selects the external classifier indexing the rules the
 // iSets cannot cover (§3.7). It accepts:
 //
-//   - a Builder value (TupleMerge, RVH, CutSplit, ...) or any function with
-//     the Builder signature;
-//   - a registered backend name string ("tuplemerge", "rvh", ...), resolved
-//     through the RegisterRemainder registry;
-//   - RemainderAuto ("auto"), which builds every registered Freezable
-//     backend over the actual remainder rule distribution, scores them
-//     (build time, frozen-lookup microbenchmark, memory), and keeps the
-//     winner — Stats().RemainderBackend and RemainderScores report the
-//     choice.
+//   - a Builder value (TupleMerge, RVH, CutSplit, NeuroCuts) or any function
+//     with the Builder signature;
+//   - a registered backend name string ("tuplemerge", "rvh", "cutsplit",
+//     "neurocuts"), resolved through the RegisterRemainder registry.
 //
-// The default is TupleMerge. On Load, a builder or non-auto name overrides
-// the builder recorded in the artifact — required when the table was saved
-// with a remainder registered under a custom name; RemainderAuto defers to
-// the recorded backend (selection is a build-time decision, re-run by
-// Retrain, never by Load). Any other argument type fails Open/Load with an
-// error.
+// The builder's product must be Freezable: Open and Load fail with an error
+// naming any other classifier. The default is TupleMerge. On Load, a
+// builder or name overrides the builder recorded in the artifact —
+// required when the table was saved with a remainder registered under a
+// custom name. Any other argument type fails Open/Load with an error.
 func WithRemainder(r any) Option {
 	return func(c *tableConfig) {
 		switch v := r.(type) {
@@ -155,10 +149,9 @@ func applyOptions(opts []Option) (tableConfig, error) {
 // remainderOverride resolves the configured remainder into the builder
 // override a load path passes to core.ReadEngine: an explicit builder or a
 // registry-resolved name overrides the artifact's recorded backend, while
-// RemainderAuto (and no remainder option at all) returns nil so the
-// recorded backend is used.
+// no remainder option at all returns nil so the recorded backend is used.
 func (c *tableConfig) remainderOverride() (Builder, error) {
-	if name := c.opts.RemainderName; name != "" && name != core.AutoRemainder {
+	if name := c.opts.RemainderName; name != "" {
 		b, ok := core.RemainderBuilderFor(name)
 		if !ok {
 			return nil, fmt.Errorf("nuevomatch: unknown remainder classifier %q (register it with RegisterRemainder)", name)

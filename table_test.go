@@ -7,12 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"nuevomatch"
 	"nuevomatch/internal/classbench"
+	"nuevomatch/internal/classifiers/linear"
 	"nuevomatch/internal/faultinject"
 )
 
@@ -88,19 +90,19 @@ func TestTableOptions(t *testing.T) {
 		t.Errorf("WithMaxISets(0) trained %d iSets, want 0", n)
 	}
 
-	linear, err := nuevomatch.Open(rs,
-		nuevomatch.WithRemainder(nuevomatch.Linear),
+	cs, err := nuevomatch.Open(rs,
+		nuevomatch.WithRemainder(nuevomatch.CutSplit),
 		nuevomatch.WithMinCoverage(0.25),
 		nuevomatch.WithRQRMI(nuevomatch.RQRMIConfig{TargetError: 32}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer linear.Close()
+	defer cs.Close()
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 300; i++ {
 		p := probe(rng, rs)
-		if got, want := linear.Lookup(p), rs.MatchID(p); got != want {
-			t.Fatalf("linear-remainder table: Lookup(%v) = %d, want %d", p, got, want)
+		if got, want := cs.Lookup(p), rs.MatchID(p); got != want {
+			t.Fatalf("cutsplit-remainder table: Lookup(%v) = %d, want %d", p, got, want)
 		}
 	}
 }
@@ -493,25 +495,8 @@ func TestTableRemainderByName(t *testing.T) {
 		}
 	}
 
-	auto, err := nuevomatch.Open(rs, nuevomatch.WithRemainder(nuevomatch.RemainderAuto))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer auto.Close()
-	st := auto.Stats()
-	if !st.RemainderAutoSelected || st.RemainderBackend == "" || len(st.RemainderScores) < 2 {
-		t.Fatalf("auto-select not recorded: %+v", st)
-	}
-	for i := 0; i < 400; i++ {
-		p := probe(rng, rs)
-		if got, want := auto.Lookup(p), rs.MatchID(p); got != want {
-			t.Fatalf("auto table Lookup(%v) = %d, want %d", p, got, want)
-		}
-	}
-
-	// Save the rvh table; load it three ways: plain (recorded name), with
-	// an explicit name override, and with RemainderAuto (defers to the
-	// recorded backend — selection is a build-time decision).
+	// Save the rvh table; load it two ways: plain (recorded name) and with
+	// an explicit name override.
 	var buf bytes.Buffer
 	if _, err := rvh.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -522,7 +507,6 @@ func TestTableRemainderByName(t *testing.T) {
 	}{
 		{"plain", nil},
 		{"name-override", []nuevomatch.Option{nuevomatch.WithRemainder("tuplemerge")}},
-		{"auto-defers", []nuevomatch.Option{nuevomatch.WithRemainder(nuevomatch.RemainderAuto)}},
 	} {
 		loaded, err := nuevomatch.Load(bytes.NewReader(buf.Bytes()), tc.opts...)
 		if err != nil {
@@ -553,4 +537,32 @@ func TestTableRemainderByName(t *testing.T) {
 	if _, err := nuevomatch.Load(bytes.NewReader(buf.Bytes()), nuevomatch.WithRemainder("no-such-backend")); err == nil {
 		t.Fatal("Load with an unknown remainder name must error")
 	}
+}
+
+// TestRemainderMustBeFreezable checks that a remainder without a frozen
+// form is refused by Open, Build and Load, with an error naming it.
+func TestRemainderMustBeFreezable(t *testing.T) {
+	rs := testRuleSet(t, 300)
+	wantNamed := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), `"linear"`) {
+			t.Fatalf("%s with the linear remainder: error %v, want one naming \"linear\"", what, err)
+		}
+	}
+	_, err := nuevomatch.Open(rs, nuevomatch.WithRemainder(linear.Build))
+	wantNamed("Open", err)
+	_, err = nuevomatch.Build(rs, nuevomatch.Options{Remainder: linear.Build})
+	wantNamed("Build", err)
+
+	table, err := nuevomatch.Open(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer table.Close()
+	var buf bytes.Buffer
+	if _, err := table.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, err = nuevomatch.Load(&buf, nuevomatch.WithRemainder(linear.Build))
+	wantNamed("Load", err)
 }
