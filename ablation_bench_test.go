@@ -6,7 +6,7 @@ package nuevomatch_test
 //     priority vs unconditionally;
 //   - RQ-RMI inference + bounded search vs a plain binary search over the
 //     same sorted range array (what a non-learned index would do);
-//   - batched two-core split vs single-core sequential lookup.
+//   - LookupBatch from parallel readers vs single-core sequential lookup.
 
 import (
 	"math/rand"
@@ -82,13 +82,7 @@ func BenchmarkAblationParallelVsSequential(b *testing.B) {
 			e.Lookup(f.pkts[i%len(f.pkts)])
 		}
 	})
-	b.Run("batch2core", func(b *testing.B) {
-		out := make([]int, analysis.BatchSize)
-		for i := 0; i < b.N; i += analysis.BatchSize {
-			off := i % (len(f.pkts) - analysis.BatchSize)
-			e.LookupBatchParallel(f.pkts[off:off+analysis.BatchSize], out)
-		}
-	})
+	b.Run("batch2core", func(b *testing.B) { benchBatchReaders(b, e, f.pkts) })
 }
 
 func BenchmarkAblationRemainderChoice(b *testing.B) {

@@ -15,8 +15,8 @@ import (
 // replicates every rule to each shard a matching packet could route to, so
 // first-match semantics are preserved shard-locally — which means per-packet
 // cost shrinks with shard size while total rule capacity grows N-fold.
-// Batches scatter across the shards and run concurrently on a multi-core
-// host; that fan-out is the throughput axis a single engine cannot reach.
+// Lookups run on the calling goroutine: a batch scatters to its shards and
+// each shard's sub-batch runs in turn. More cores come from more callers.
 //
 // Every shard can carry its own autopilot (WithClusterAutopilot), so a
 // drift-triggered retrain stalls the update side of one shard — 1/N of the
@@ -239,10 +239,10 @@ func (c *Cluster) SaveDir(dir string) error {
 func (c *Cluster) Lookup(p Packet) int { return c.cc.Lookup(p) }
 
 // LookupBatch classifies len(pkts) packets into out (which must have at
-// least len(pkts) entries): packets scatter to their shards, nonempty
-// shards run the batched inference path concurrently on pooled workers
-// (given more than one CPU), and per-shard winners merge back in the
-// caller's order. Zero-alloc in steady state.
+// least len(pkts) entries): packets scatter to their shards, each nonempty
+// shard runs the batched inference path in turn on the calling goroutine,
+// and per-shard winners merge back in the caller's order. Zero-alloc in
+// steady state.
 func (c *Cluster) LookupBatch(pkts []Packet, out []int) { c.cc.LookupBatch(pkts, out) }
 
 // Insert adds a rule online, replicating it to every shard its
@@ -400,9 +400,8 @@ func (c *Cluster) Name() string { return "nuevomatch-cluster" }
 // remainder-index bytes.
 func (c *Cluster) MemoryFootprint() int { return c.cc.MemoryFootprint() }
 
-// Close stops every shard autopilot (waiting out in-flight retrains),
-// retires the cluster's pooled batch workers, and closes the shard engines.
-// Idempotent; concurrent lookups are unaffected and remain valid after
+// Close stops every shard autopilot (waiting out in-flight retrains) and
+// the shard quarantine rebuilders. Idempotent; concurrent lookups are unaffected and remain valid after
 // Close, while subsequent updates fail with ErrClosed.
 func (c *Cluster) Close() error {
 	if c.closed.Swap(true) {

@@ -11,9 +11,8 @@
 // Every experiment id maps to one table or figure of the evaluation
 // section; see EXPERIMENTS.md for the index and DESIGN.md for the
 // methodology substitutions. With -benchjson DIR the runner skips the
-// experiments and instead measures the engine's lookup paths (per-packet,
-// batched, two-core parallel: throughput, p50/p99 latency, memory
-// footprint) on one profile, writing BENCH_<profile>_<size>.json into DIR.
+// experiments and instead measures the engine's lookup paths (per-packet
+// and batched: throughput, p50/p99 latency, memory footprint) on one profile, writing BENCH_<profile>_<size>.json into DIR.
 package main
 
 import (
@@ -96,8 +95,6 @@ func main() {
 			a.Lookup.ThroughputPPS, a.Lookup.P50Nanos, a.Lookup.P99Nanos, a.Lookup.AllocsPerOp)
 		fmt.Printf("  lookup_batch:    %12.0f pps  p50 %6.0f ns  p99 %6.0f ns  %.2f allocs/op  (%.2fx speedup)\n",
 			a.LookupBatch.ThroughputPPS, a.LookupBatch.P50Nanos, a.LookupBatch.P99Nanos, a.LookupBatch.AllocsPerOp, a.BatchSpeedup)
-		fmt.Printf("  batch_parallel:  %12.0f pps  p50 %6.0f ns  p99 %6.0f ns  %.2f allocs/op\n",
-			a.LookupBatchParallel.ThroughputPPS, a.LookupBatchParallel.P50Nanos, a.LookupBatchParallel.P99Nanos, a.LookupBatchParallel.AllocsPerOp)
 		fmt.Printf("  memory:          %d B total (%d B iSets + %d B remainder)\n",
 			a.Engine.TotalBytes, a.Engine.ISetBytes, a.Engine.RemainderBytes)
 		fmt.Printf("  remainder:       %s\n", a.Engine.RemainderBackend)
@@ -117,7 +114,7 @@ func main() {
 		if c := a.Cluster; c != nil {
 			fmt.Printf("  cluster:         %d shards (%s on field %d), %d/%d rules replicated, %d mismatches\n",
 				c.Shards, c.Kind, c.PartitionField, c.ReplicatedRules, c.LiveRules, c.Mismatches)
-			fmt.Printf("    merged batch   %12.0f pps  (%.2fx single engine — report-only on 1 CPU)\n",
+			fmt.Printf("    merged batch   %12.0f pps  (%.2fx single engine, report-only)\n",
 				c.LookupBatch.ThroughputPPS, c.MergedVsSingleBatch)
 			for s, sp := range c.PerShard {
 				fmt.Printf("    shard %02d       %6d rules  %6d trace pkts  %12.0f pps batch\n",

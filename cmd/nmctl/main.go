@@ -542,8 +542,8 @@ func finishChurn(n churnCounts, verify bool) {
 // runClusterChurn is churn serve mode for a cluster: the shared workload
 // loop with one autopilot per shard retraining in the background. On
 // SIGINT/SIGTERM the loop drains at an op boundary, the final state is
-// saved to persistDir (when set), and the deferred Close runs — pooled
-// workers and rebuild loops exit instead of dying mid-flight.
+// saved to persistDir (when set), and the deferred Close runs — autopilots
+// and rebuild loops exit instead of dying mid-flight.
 func runClusterChurn(ctx context.Context, c *nuevomatch.Cluster, rs *rules.RuleSet, ops int, seed int64, verify bool, persistDir string) {
 	if c.ShardAutopilot(0) == nil {
 		fatal(fmt.Errorf("cluster churn mode requires autopilot options"))

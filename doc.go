@@ -59,20 +59,20 @@
 //
 // # Sharded serving: Cluster
 //
-// One engine is bounded by one core's inference throughput and one
-// training run's rule capacity. A Cluster partitions the rule-set across N
-// independent engine shards (the paper's evaluation scales the same way,
-// §6): a configurable partition field routes every packet to exactly one
-// shard, rules whose range spans several shards are replicated so
-// first-match semantics hold shard-locally, and batches scatter across the
-// shards to run concurrently on a multi-core host:
+// One engine is bounded by one training run's rule capacity, and a retrain
+// stalls the update side of the whole table. A Cluster partitions the
+// rule-set across N independent engine shards (the paper's evaluation
+// scales the same way, §6): a configurable partition field routes every
+// packet to exactly one shard, rules whose range spans several shards are
+// replicated so first-match semantics hold shard-locally, and a batch
+// scatters to its shards on the calling goroutine:
 //
 //	cluster, err := nuevomatch.OpenCluster(rs,
 //	    nuevomatch.WithShards(4),
 //	    nuevomatch.WithClusterAutopilot(nuevomatch.AutopilotPolicy{MaxUpdates: 2048}),
 //	)
 //	id := cluster.Lookup(pkt)         // routed: one shard consulted
-//	cluster.LookupBatch(pkts, out)    // scattered: shards run in parallel
+//	cluster.LookupBatch(pkts, out)    // scattered: each busy shard in turn
 //	cluster.SaveDir("cluster.d")      // manifest + one table file per shard
 //	cluster, err = nuevomatch.LoadCluster("cluster.d")
 //

@@ -1,7 +1,7 @@
 // Package analysis is the evaluation harness: it builds the paper's
 // classifier configurations, measures throughput/latency/memory the way §5.1
 // describes (uniform and skewed traces, single-core with early termination,
-// two-core parallel with batching), and regenerates every table and figure
+// two readers over halves of the trace), and regenerates every table and figure
 // of the evaluation as text. cmd/benchrunner is a thin CLI over this
 // package; bench_test.go wires the same experiments into testing.B.
 package analysis
@@ -124,31 +124,13 @@ func Latency1(c rules.Classifier, pkts []rules.Packet) time.Duration {
 	return time.Duration(float64(time.Second) / pps)
 }
 
-// BatchSize is the paper's two-core batching factor (§5.1).
+// BatchSize is the paper's batching factor (§5.1).
 const BatchSize = 128
 
-// Throughput2 measures the two-core configuration of §5.1: NuevoMatch
-// engines split the *work* of each batch (iSets on one worker, remainder on
-// the other) via LookupBatchParallel; baseline classifiers run two instances
-// on two goroutines, splitting the input equally.
+// Throughput2 measures the two-core configuration: two readers, each
+// classifying half of the trace on its own goroutine. Every lookup runs on
+// its caller's goroutine, so more cores come only from more callers.
 func Throughput2(c rules.Classifier, pkts []rules.Packet) float64 {
-	if e, ok := c.(*core.Engine); ok {
-		out := make([]int, BatchSize)
-		// Warmup.
-		for off := 0; off+BatchSize <= len(pkts) && off < 4*BatchSize; off += BatchSize {
-			e.LookupBatchParallel(pkts[off:off+BatchSize], out)
-		}
-		var done int
-		start := time.Now()
-		for time.Since(start) < MinMeasure {
-			for off := 0; off+BatchSize <= len(pkts); off += BatchSize {
-				e.LookupBatchParallel(pkts[off:off+BatchSize], out)
-			}
-			done += len(pkts) / BatchSize * BatchSize
-		}
-		return float64(done) / time.Since(start).Seconds()
-	}
-
 	half := len(pkts) / 2
 	for _, p := range pkts[:half] { // warmup
 		c.Lookup(p)
@@ -171,29 +153,6 @@ func Throughput2(c rules.Classifier, pkts []rules.Packet) float64 {
 		done += len(pkts)
 	}
 	return float64(done) / time.Since(start).Seconds()
-}
-
-// Latency2 measures per-packet latency in the two-core configuration: for
-// NuevoMatch the batch completes when both workers finish (latency = batch
-// time / batch size); for baselines parallel instances do not shorten a
-// single packet's path, so latency equals the single-core value.
-func Latency2(c rules.Classifier, pkts []rules.Packet) time.Duration {
-	if e, ok := c.(*core.Engine); ok {
-		out := make([]int, BatchSize)
-		for off := 0; off+BatchSize <= len(pkts) && off < 4*BatchSize; off += BatchSize {
-			e.LookupBatchParallel(pkts[off:off+BatchSize], out)
-		}
-		var batches int
-		start := time.Now()
-		for time.Since(start) < MinMeasure {
-			for off := 0; off+BatchSize <= len(pkts); off += BatchSize {
-				e.LookupBatchParallel(pkts[off:off+BatchSize], out)
-			}
-			batches += len(pkts) / BatchSize
-		}
-		return time.Since(start) / time.Duration(batches*BatchSize)
-	}
-	return Latency1(c, pkts)
 }
 
 // GeoMean returns the geometric mean of positive values (the paper's "GM"

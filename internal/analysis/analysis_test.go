@@ -215,7 +215,6 @@ func TestBuildNMTreeRemainders(t *testing.T) {
 				t.Fatalf("%s: packet %v: Lookup %d, LookupBatch %d, want %d", baseline, p, got, out[i], want)
 			}
 		}
-		e.Close()
 	}
 }
 

@@ -52,11 +52,9 @@ type BenchArtifact struct {
 		RemainderBackend string `json:"remainder_backend"`
 	} `json:"engine"`
 
-	// Lookup is the per-packet scalar path; LookupBatch the batched path;
-	// LookupBatchParallel the two-worker split of §5.1.
-	Lookup              BenchPath `json:"lookup"`
-	LookupBatch         BenchPath `json:"lookup_batch"`
-	LookupBatchParallel BenchPath `json:"lookup_batch_parallel"`
+	// Lookup is the per-packet scalar path; LookupBatch the batched path.
+	Lookup      BenchPath `json:"lookup"`
+	LookupBatch BenchPath `json:"lookup_batch"`
 
 	// BatchSpeedup is LookupBatch throughput over Lookup throughput — the
 	// number the batched-inference refactor is accountable for.
@@ -235,9 +233,6 @@ func RunBenchArtifact(profileName string, size, traceLen int, seed int64, remain
 	a.LookupBatch = measureBatch(tr.Packets, BatchSize, func(pkts []rules.Packet, out []int) {
 		e.LookupBatch(pkts, out)
 	})
-	a.LookupBatchParallel = measureBatch(tr.Packets, BatchSize, func(pkts []rules.Packet, out []int) {
-		e.LookupBatchParallel(pkts, out)
-	})
 	if a.Lookup.ThroughputPPS > 0 {
 		a.BatchSpeedup = a.LookupBatch.ThroughputPPS / a.Lookup.ThroughputPPS
 	}
@@ -265,16 +260,12 @@ func measurePersistence(e *core.Engine, buildTime time.Duration, rs *rules.RuleS
 	var loaded *core.Engine
 	loadStart := time.Now()
 	for i := 0; i < loadRuns; i++ {
-		if loaded != nil {
-			loaded.Close()
-		}
 		loaded, err = core.ReadEngine(bytes.NewReader(buf.Bytes()), nil)
 		if err != nil {
 			return rep, err
 		}
 	}
 	rep.LoadSeconds = time.Since(loadStart).Seconds() / loadRuns
-	defer loaded.Close()
 	if rep.LoadSeconds > 0 {
 		rep.LoadSpeedup = rep.BuildSeconds / rep.LoadSeconds
 	}

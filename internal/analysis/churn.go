@@ -193,7 +193,6 @@ func runChurnProfile(cfg ChurnConfig, name string, seed int64) (*ChurnProfileRes
 	if err != nil {
 		return nil, err
 	}
-	defer e.Close()
 	mirror := base.Clone()
 
 	ap := core.NewAutopilot(e, cfg.Policy)

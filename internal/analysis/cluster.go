@@ -14,10 +14,9 @@ import (
 // ClusterReport is the sharded-serving section of the benchjson artifact:
 // the same rule-set and trace measured through an N-shard core.Cluster,
 // with per-shard structure and throughput next to the merged numbers so the
-// artifact records both the fan-out win and the replication overhead that
-// bought it. On a 1-CPU host the shards time-slice one core, so the merged
-// ratio is report-only there; the acceptance ratio is read on multi-core
-// runners.
+// artifact records both the smaller-engine win and the replication
+// overhead that bought it. The merged batch runs each shard in turn on the
+// calling goroutine, so the ratio is report-only.
 type ClusterReport struct {
 	// Shards is the serving width; Kind/PartitionField the routing function.
 	Shards         int    `json:"shards"`
@@ -38,9 +37,8 @@ type ClusterReport struct {
 	Lookup      BenchPath `json:"lookup"`
 	LookupBatch BenchPath `json:"lookup_batch"`
 	// MergedVsSingleBatch is cluster LookupBatch throughput over the
-	// single-engine LookupBatch throughput of the same artifact — the number
-	// the sharding layer is accountable for (>= 1.3x on a multi-core
-	// acceptance runner; report-only on one CPU).
+	// single-engine LookupBatch throughput of the same artifact: what the
+	// smaller per-shard engines buy on one goroutine (report-only).
 	MergedVsSingleBatch float64 `json:"merged_vs_single_batch"`
 	// VerifiedPackets/Mismatches are the differential check of the cluster
 	// against the linear reference over the trace.

@@ -75,7 +75,6 @@ func (a *BenchArtifact) AttachServing(clients int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	defer e.Close()
 
 	// The engine itself is the reference: the artifact's conformance gate
 	// already pinned batch == scalar == linear reference.

@@ -108,8 +108,8 @@ func (d *churnDriver) packet() rules.Packet {
 	return p
 }
 
-// verifySweep checks scalar, batched, and parallel lookups against the
-// mirror over n fresh probes.
+// verifySweep checks scalar and batched lookups against the mirror over n
+// fresh probes.
 func (d *churnDriver) verifySweep(n int) {
 	d.t.Helper()
 	pkts := make([]rules.Packet, n)
@@ -126,12 +126,6 @@ func (d *churnDriver) verifySweep(n int) {
 		}
 		if out[i] != want[i] {
 			d.t.Fatalf("sweep: LookupBatch[%d] = %d, want %d", i, out[i], want[i])
-		}
-	}
-	d.e.LookupBatchParallel(pkts, out)
-	for i := range pkts {
-		if out[i] != want[i] {
-			d.t.Fatalf("sweep: LookupBatchParallel[%d] = %d, want %d", i, out[i], want[i])
 		}
 	}
 }

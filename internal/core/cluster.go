@@ -3,9 +3,10 @@
 // NuevoMatch by running independent RQ-RMI instances over rule-set
 // partitions (§6); the cluster is that axis made a first-class subsystem —
 // each shard is a complete Engine (its own iSets, frozen remainder, RCU
-// snapshot, retrain machinery), so rule capacity grows N-fold, batches fan
-// out across cores, and a retrain stalls the update side of 1/N of the
-// table instead of all of it.
+// snapshot, retrain machinery), so rule capacity grows N-fold and a retrain
+// stalls the update side of 1/N of the table instead of all of it. Lookups
+// run on the caller's goroutine, like the engine's: more cores come from
+// more callers.
 //
 // Correctness rests on one invariant, enforced at build, on every update,
 // and re-verified on load: a rule is replicated to every shard that some
@@ -26,7 +27,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -229,10 +229,11 @@ func autoPartitionField(rs *rules.RuleSet) int {
 // Cluster serves one logical rule-set from N independent engine shards.
 // Lookups are lock-free end to end: routing is pure arithmetic and each
 // shard lookup is the engine's usual one-atomic-load snapshot walk. Batches
-// scatter across shards and run them on parallel workers, merging per-shard
-// winners back into the caller's order with pooled scratch (zero-alloc in
-// steady state). Updates serialize on the cluster's own mutex (they touch
-// the replica-mask table) and then on each target shard's write lock.
+// scatter across shards, run each busy shard in turn on the calling
+// goroutine and merge per-shard winners back into the caller's order with
+// pooled scratch (zero-alloc in steady state). Updates serialize on the
+// cluster's own mutex (they touch the replica-mask table) and then on each
+// target shard's write lock.
 type Cluster struct {
 	part    partitioner
 	engines []*Engine
@@ -267,7 +268,6 @@ type Cluster struct {
 	qstop        chan struct{}
 	qwg          sync.WaitGroup
 
-	wpool   chan *clusterWorker
 	scratch sync.Pool
 	closed  atomic.Bool
 }
@@ -337,11 +337,6 @@ func BuildCluster(rs *rules.RuleSet, opts ClusterOptions) (*Cluster, error) {
 	wg.Wait()
 	for s, err := range errs {
 		if err != nil {
-			for _, e := range c.engines {
-				if e != nil {
-					e.Close()
-				}
-			}
 			return nil, fmt.Errorf("core: building shard %d: %w", s, err)
 		}
 	}
@@ -351,7 +346,6 @@ func BuildCluster(rs *rules.RuleSet, opts ClusterOptions) (*Cluster, error) {
 
 // finish wires the runtime machinery shared by BuildCluster and the loader.
 func (c *Cluster) finish() {
-	c.wpool = make(chan *clusterWorker, len(c.engines))
 	c.scratch.New = func() any { return newClusterScratch(len(c.engines)) }
 	c.qpolicy = QuarantinePolicy{}.withDefaults()
 	c.quarantined = make(map[int]*shardQuarantine)
@@ -409,96 +403,29 @@ func (c *Cluster) Lookup(p rules.Packet) int {
 	return c.engines[s].Lookup(p)
 }
 
-// clusterWorker is a pooled goroutine serving one shard's sub-batch per
-// job, mirroring the engine's parWorker discipline so steady-state batches
-// spawn nothing.
-type clusterWorker struct {
-	job  chan clusterJob
-	done chan struct{}
-}
-
-type clusterJob struct {
-	v    ShardView
-	pkts []rules.Packet
-	out  []int
-}
-
-func (w *clusterWorker) loop() {
-	for j := range w.job {
-		j.v.LookupBatch(j.pkts, j.out)
-		// Drop references before parking: an idle worker must not pin a
-		// retired snapshot or the scratch buffers.
-		j.v, j.pkts, j.out = ShardView{}, nil, nil
-		w.done <- struct{}{}
-	}
-}
-
-func (c *Cluster) grabWorker() *clusterWorker {
-	select {
-	case w := <-c.wpool:
-		return w
-	default:
-		w := &clusterWorker{job: make(chan clusterJob), done: make(chan struct{})}
-		go w.loop()
-		return w
-	}
-}
-
-func (c *Cluster) releaseWorker(w *clusterWorker) {
-	if c.closed.Load() {
-		close(w.job)
-		return
-	}
-	select {
-	case c.wpool <- w:
-		// Close may have raced the send; both sides drain after the flag
-		// flip, so one of them always sees this worker.
-		if c.closed.Load() {
-			c.drainWorkers()
-		}
-	default:
-		close(w.job)
-	}
-}
-
-func (c *Cluster) drainWorkers() {
-	for {
-		select {
-		case w := <-c.wpool:
-			close(w.job)
-		default:
-			return
-		}
-	}
-}
-
 // clusterScratch is the pooled scatter/gather state of one LookupBatch call.
 type clusterScratch struct {
-	idx     [][]int32        // per shard: original packet positions
-	pkts    [][]rules.Packet // per shard: routed packets (headers only)
-	res     [][]int          // per shard: that shard's winners
-	order   []int            // shards with work this batch
-	workers []*clusterWorker
+	idx   [][]int32        // per shard: original packet positions
+	pkts  [][]rules.Packet // per shard: routed packets (headers only)
+	res   [][]int          // per shard: that shard's winners
+	order []int            // shards with work this batch
 }
 
 func newClusterScratch(shards int) *clusterScratch {
 	return &clusterScratch{
-		idx:     make([][]int32, shards),
-		pkts:    make([][]rules.Packet, shards),
-		res:     make([][]int, shards),
-		order:   make([]int, 0, shards),
-		workers: make([]*clusterWorker, 0, shards),
+		idx:   make([][]int32, shards),
+		pkts:  make([][]rules.Packet, shards),
+		res:   make([][]int, shards),
+		order: make([]int, 0, shards),
 	}
 }
 
 // LookupBatch classifies len(pkts) packets into out (which must have at
 // least len(pkts) entries): packets scatter to their shards, each nonempty
-// shard's sub-batch runs the engine's batched inference against a snapshot
-// pinned once for the whole batch (ShardView), and per-shard winners merge
-// back into the caller's order. With more than one busy shard and more than
-// one CPU the sub-batches run concurrently on pooled workers — this is the
-// multi-core fan-out the cluster exists for. Scratch is pooled; the path
-// allocates nothing in steady state.
+// shard's sub-batch runs that engine's LookupBatch in turn on the calling
+// goroutine (one snapshot load per shard per call), and per-shard winners
+// merge back into the caller's order. Scratch is pooled; the path allocates
+// nothing in steady state.
 func (c *Cluster) LookupBatch(pkts []rules.Packet, out []int) {
 	if len(c.engines) == 1 {
 		c.engines[0].LookupBatch(pkts, out)
@@ -510,7 +437,6 @@ func (c *Cluster) LookupBatch(pkts []rules.Packet, out []int) {
 		scr.pkts[s] = scr.pkts[s][:0]
 	}
 	scr.order = scr.order[:0]
-	scr.workers = scr.workers[:0]
 
 	for i, p := range pkts {
 		s := c.shardOf(p)
@@ -537,24 +463,8 @@ func (c *Cluster) LookupBatch(pkts []rules.Packet, out []int) {
 	// paging host, a contended core). Answers stay correct — latency faults
 	// never violate fail-static.
 	faultinject.Sleep(faultinject.PointClusterShardSlow)
-	if len(scr.order) >= 2 && runtime.GOMAXPROCS(0) >= 2 {
-		// Fan the tail shards out to workers; serve the first inline so the
-		// calling goroutine contributes a core instead of blocking.
-		for _, s := range scr.order[1:] {
-			w := c.grabWorker()
-			w.job <- clusterJob{v: c.engines[s].View(), pkts: scr.pkts[s], out: scr.res[s]}
-			scr.workers = append(scr.workers, w)
-		}
-		s0 := scr.order[0]
-		c.engines[s0].View().LookupBatch(scr.pkts[s0], scr.res[s0])
-		for _, w := range scr.workers {
-			<-w.done
-			c.releaseWorker(w)
-		}
-	} else {
-		for _, s := range scr.order {
-			c.engines[s].View().LookupBatch(scr.pkts[s], scr.res[s])
-		}
+	for _, s := range scr.order {
+		c.engines[s].LookupBatch(scr.pkts[s], scr.res[s])
 	}
 
 	// Gather: each packet has exactly one shard's winner — the merge is a
@@ -568,12 +478,11 @@ func (c *Cluster) LookupBatch(pkts []rules.Packet, out []int) {
 		}
 	}
 	// Drop the packet headers before pooling: an idle scratch must not pin
-	// the caller's packet backing arrays (same discipline as the workers).
+	// the caller's packet backing arrays.
 	for _, s := range scr.order {
 		clear(scr.pkts[s])
 		scr.pkts[s] = scr.pkts[s][:0]
 	}
-	scr.workers = scr.workers[:0]
 	c.scratch.Put(scr)
 }
 
@@ -757,11 +666,10 @@ func (c *Cluster) MemoryFootprint() int {
 
 var _ rules.Classifier = (*Cluster)(nil)
 
-// Close retires the cluster's pooled batch workers, stops any background
-// quarantine rebuilders (waiting for an in-flight rebuild attempt to
-// finish), and closes every shard engine. Lookups remain safe after Close
-// (each shard's published snapshot is immutable); updates on closed shard
-// engines are the caller's to fence, as with Engine.Close. Close is
+// Close stops any background quarantine rebuilders, waiting for an
+// in-flight rebuild attempt to finish, and reports the cluster Failed from
+// then on. Lookups remain safe after Close (each shard's published snapshot
+// is immutable); updates after Close are the caller's to fence. Close is
 // idempotent.
 func (c *Cluster) Close() {
 	if !c.closed.CompareAndSwap(false, true) {
@@ -769,10 +677,6 @@ func (c *Cluster) Close() {
 	}
 	close(c.qstop)
 	c.qwg.Wait()
-	c.drainWorkers()
-	for _, e := range c.engines {
-		e.Close()
-	}
 }
 
 // --- cluster persistence ---------------------------------------------------

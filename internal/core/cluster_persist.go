@@ -531,13 +531,6 @@ func loadClusterGen(dir string, remainder rules.Builder) (*Cluster, error) {
 		ruleByID: make(map[int]rules.Rule),
 	}
 	c.engines = make([]*Engine, len(m.Shards))
-	closeAll := func() {
-		for _, e := range c.engines {
-			if e != nil {
-				e.Close()
-			}
-		}
-	}
 	type loadFailure struct {
 		shard int
 		err   error
@@ -547,11 +540,9 @@ func loadClusterGen(dir string, remainder rules.Builder) (*Cluster, error) {
 		eng, lerr := readShardFile(filepath.Join(gdir, name), remainder)
 		if lerr != nil {
 			if superseded(lerr) {
-				closeAll()
 				return nil, fmt.Errorf("%w (shard %d of %s)", errStaleGeneration, s, gdir)
 			}
 			if artRules == nil {
-				closeAll()
 				return nil, fmt.Errorf("core: loading shard %d (%s): %w", s, name, lerr)
 			}
 			failures = append(failures, loadFailure{shard: s, err: lerr})
@@ -560,7 +551,6 @@ func loadClusterGen(dir string, remainder rules.Builder) (*Cluster, error) {
 		c.engines[s] = eng
 	}
 	if len(failures) == len(m.Shards) {
-		closeAll()
 		return nil, fmt.Errorf("core: no loadable shard in %s: shard 0: %w", gdir, failures[0].err)
 	}
 
@@ -579,13 +569,11 @@ func loadClusterGen(dir string, remainder rules.Builder) (*Cluster, error) {
 	for _, f := range failures {
 		fb, berr := buildFallbackShard(&c.part, f.shard, artFields, artRules, fullOpts)
 		if berr != nil {
-			closeAll()
 			return nil, fmt.Errorf("core: rebuilding shard %d from rules artifact: %w (original load error: %v)", f.shard, berr, f.err)
 		}
 		c.engines[f.shard] = fb
 	}
 	if err := c.rebuildReplicaTable(); err != nil {
-		closeAll()
 		return nil, err
 	}
 	c.finish()

@@ -151,7 +151,6 @@ func TestClusterSingleShardEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer e.Close()
 			c, err := BuildCluster(rs, clusterTestOpts(1, PartitionRange))
 			if err != nil {
 				t.Fatal(err)
@@ -639,7 +638,7 @@ func TestClusterLookupPathsZeroAlloc(t *testing.T) {
 		t.Errorf("cluster Lookup allocates %.2f objects per call, want 0", avg)
 	}
 	out := make([]int, 128)
-	// Warm the scratch pool and workers before measuring.
+	// Warm the scratch pool before measuring.
 	for j := 0; j < 8; j++ {
 		c.LookupBatch(pkts[:128], out)
 		c.LookupBatch(pkts[128:], out)

@@ -15,7 +15,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -159,20 +158,6 @@ type Engine struct {
 	// the compaction threshold (overlay.go).
 	remFrozen  rules.FrozenClassifier
 	remOverlay *remOverlay
-	// remIDs/remPrios are the remainder's (id, priority) table sorted by
-	// ID as of the last freeze, shared with published snapshots and
-	// therefore never mutated in place: refreezeRemainderLocked folds the
-	// overlay into it, and lookups consult the overlay first
-	// (remainderAdapter.prioOf).
-	remIDs   []int
-	remPrios []int32
-
-	// parPool holds reusable iSet-inference workers for LookupBatchParallel
-	// so repeated calls reuse goroutines and buffers instead of spawning.
-	parPool chan *parWorker
-	// closed is set by Close: released workers terminate instead of pooling,
-	// so lookups after Close stay correct without leaking goroutines.
-	closed atomic.Bool
 
 	// retraining is set while a background Retrain is training a replacement
 	// engine off-lock; while it is set, every applied update is also appended
@@ -261,9 +246,7 @@ func Build(rs *rules.RuleSet, opts Options) (*Engine, error) {
 	}
 	e.remainder = rem
 	e.stats.RemainderBackend = rem.Name()
-	e.remIDs, e.remPrios = sortedRemainderTable(e.remainderRules)
 	e.refreezeRemainderLocked()
-	e.parPool = make(chan *parWorker, 2)
 	e.publishLocked()
 	return e, nil
 }
@@ -291,13 +274,9 @@ func buildRemainder(opts Options, rs *rules.RuleSet) (rules.Freezable, error) {
 }
 
 // refreezeRemainderLocked compiles the remainder's current contents into a
-// fresh frozen form, folds the overlay's delta into the (id, priority)
-// table and resets the overlay to empty. Called at build time and whenever
-// the overlay outgrows the compaction threshold.
+// fresh frozen form and resets the overlay to empty. Called at build time
+// and whenever the overlay outgrows the compaction threshold.
 func (e *Engine) refreezeRemainderLocked() {
-	if e.remOverlay != nil {
-		e.remIDs, e.remPrios = e.remOverlay.foldInto(e.remIDs, e.remPrios)
-	}
 	e.remFrozen = e.remainder.Freeze()
 	e.remOverlay = &remOverlay{numFields: e.rs.NumFields}
 }
@@ -342,7 +321,7 @@ func (e *Engine) publishLocked() {
 		fieldLo:   e.fieldLo,
 		fieldHi:   e.fieldHi,
 		isets:     e.isets,
-		rem:       newRemainderAdapter(e.remFrozen, e.remOverlay, e.remIDs, e.remPrios),
+		rem:       newRemainderAdapter(e.remFrozen, e.remOverlay),
 	}
 	e.publishes++
 	e.snap.Store(s)
@@ -411,6 +390,8 @@ func (e *Engine) LookupBatch(pkts []rules.Packet, out []int) {
 // optimization: the remainder is always queried in full, ignoring the best
 // priority found in the iSets. Results are identical to Lookup; only the
 // work differs. Exists for the ablation benchmarks.
+//
+//nm:hotpath
 func (e *Engine) LookupNoEarlyTermination(p rules.Packet) int {
 	s := e.snapshot()
 	best := rules.NoMatch
@@ -420,108 +401,21 @@ func (e *Engine) LookupNoEarlyTermination(p rules.Packet) int {
 			best, bestPrio = id, prio
 		}
 	}
-	if id, prio, ok := s.rem.lookupUnbounded(p); ok && prio < bestPrio {
-		return id
+	// A one-packet unbounded remainder batch: the overlay scan and the
+	// frozen walk each lower the bound to their winner's priority, so it
+	// ends as the remainder winner's priority.
+	scr := batchScratchPool.Get().(*batchScratch)
+	scr.pkt[0] = p
+	pkts, out, bound := scr.pkt[:], scr.best[:1], scr.bestPrio[:1]
+	out[0], bound[0] = rules.NoMatch, math.MaxInt32
+	s.rem.overlay.scanBatch(pkts, bound, out)
+	s.rem.frozen.LookupBatch(pkts, bound, s.rem.overlay.del, out)
+	if out[0] >= 0 && bound[0] < bestPrio {
+		best = out[0]
 	}
+	scr.pkt[0] = nil // an idle scratch must not pin the caller's packet
+	batchScratchPool.Put(scr)
 	return best
-}
-
-// parWorker is a reusable iSet-inference worker: one long-lived goroutine
-// fed jobs through job, signalling completion on done, with persistent
-// result buffers so steady-state LookupBatchParallel calls spawn no
-// goroutines and allocate nothing.
-type parWorker struct {
-	job  chan parJob
-	done chan struct{}
-	// best/prio hold the last job's per-packet iSet candidates.
-	best []int
-	prio []int32
-}
-
-type parJob struct {
-	s    *snapshot
-	pkts []rules.Packet
-}
-
-func (w *parWorker) loop() {
-	for j := range w.job {
-		w.serve(j)
-		// Drop the snapshot and packet references before parking: an idle
-		// pooled worker must not pin a retired snapshot (models, frozen
-		// remainder) or the caller's packet slice.
-		j.s, j.pkts = nil, nil
-		w.done <- struct{}{}
-	}
-}
-
-// serve runs the iSet half of the §5.1 split over the job's packets using
-// the shared chunked inference of snapshot.isetChunk.
-//
-//nm:hotpath
-func (w *parWorker) serve(j parJob) {
-	if cap(w.best) < len(j.pkts) {
-		//nm:allow hotpath: one-time buffer growth; steady-state batches reuse the worker's persistent buffers
-		w.best = make([]int, len(j.pkts))
-		//nm:allow hotpath: one-time buffer growth; steady-state batches reuse the worker's persistent buffers
-		w.prio = make([]int32, len(j.pkts))
-	}
-	w.best = w.best[:len(j.pkts)]
-	w.prio = w.prio[:len(j.pkts)]
-	var keys [rqrmi.BatchChunk]uint32
-	var ents [rqrmi.BatchChunk]int32
-	for off := 0; off < len(j.pkts); off += rqrmi.BatchChunk {
-		n := len(j.pkts) - off
-		if n > rqrmi.BatchChunk {
-			n = rqrmi.BatchChunk
-		}
-		j.s.isetChunk(j.pkts[off:off+n], &keys, &ents, w.best[off:off+n], w.prio[off:off+n])
-	}
-}
-
-// grabParWorker takes a pooled worker or starts a fresh one when the pool
-// is empty (concurrent callers each get their own).
-func (e *Engine) grabParWorker() *parWorker {
-	select {
-	case w := <-e.parPool:
-		return w
-	default:
-		w := &parWorker{job: make(chan parJob), done: make(chan struct{})}
-		go w.loop()
-		return w
-	}
-}
-
-// releaseParWorker returns a worker to the pool; surplus workers beyond the
-// pool's capacity — and every worker once the engine is closed — exit
-// instead of lingering.
-func (e *Engine) releaseParWorker(w *parWorker) {
-	if e.closed.Load() {
-		close(w.job)
-		return
-	}
-	select {
-	case e.parPool <- w:
-		// If Close ran between the check above and the send landing, its
-		// drain may have missed this worker; both sides drain after the flag
-		// flip (sequentially consistent), so one of them always sees it.
-		if e.closed.Load() {
-			e.drainParPool()
-		}
-	default:
-		close(w.job)
-	}
-}
-
-// drainParPool terminates every idle pooled worker.
-func (e *Engine) drainParPool() {
-	for {
-		select {
-		case w := <-e.parPool:
-			close(w.job)
-		default:
-			return
-		}
-	}
 }
 
 // NumFields returns the dimensionality of the served rule-set. It is fixed
@@ -530,63 +424,6 @@ func (e *Engine) NumFields() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.rs.NumFields
-}
-
-// Close releases the engine's pooled background workers and stops the pool
-// from re-filling: lookups on any path remain safe after Close (the
-// published snapshot is immutable and LookupBatchParallel spawns transient
-// workers that exit when released), so a retired engine cannot leak
-// goroutines no matter which calls race its retirement. Safe to call any
-// number of times.
-func (e *Engine) Close() {
-	e.closed.Store(true)
-	e.drainParPool()
-}
-
-// LookupBatchParallel classifies a batch with the two-worker split of the
-// paper's multi-core configuration (§5.1): a pooled worker goroutine runs
-// all RQ-RMI iSets (batched) while the calling goroutine runs the remainder
-// (lock-free against the frozen form), and results merge by priority. Early
-// termination does not apply — the workers race (§4 "Parallelization"). On
-// a single-CPU process (GOMAXPROCS < 2) the split cannot help — the two
-// workers would time-slice one core and pay the handoff on top — so the
-// call degrades to the serial batched path. out must have len(pkts)
-// entries.
-func (e *Engine) LookupBatchParallel(pkts []rules.Packet, out []int) {
-	s := e.snapshot()
-	if runtime.GOMAXPROCS(0) < 2 {
-		s.lookupBatch(pkts, out)
-		return
-	}
-	w := e.grabParWorker()
-	w.job <- parJob{s: s, pkts: pkts}
-	// Remainder half, chunked through the frozen table-major walk (pooled
-	// scratch carries the unbounded per-packet bounds).
-	scr := batchScratchPool.Get().(*batchScratch)
-	for off := 0; off < len(pkts); off += rqrmi.BatchChunk {
-		n := len(pkts) - off
-		if n > rqrmi.BatchChunk {
-			n = rqrmi.BatchChunk
-		}
-		s.rem.lookupUnboundedBatch(pkts[off:off+n], scr.bestPrio[:n], out[off:off+n])
-	}
-	batchScratchPool.Put(scr)
-	<-w.done
-	for pi := range pkts {
-		remID := out[pi]
-		isetID := w.best[pi]
-		switch {
-		case remID < 0:
-			out[pi] = isetID
-		case isetID < 0:
-			// keep remainder result
-		default:
-			if prio, ok := s.rem.prioOf(remID); !ok || prio >= w.prio[pi] {
-				out[pi] = isetID
-			}
-		}
-	}
-	e.releaseParWorker(w)
 }
 
 // MemoryFootprint implements rules.Classifier: RQ-RMI model bytes plus the

@@ -2,9 +2,7 @@ package core
 
 import (
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"nuevomatch/internal/classifiers/conformance"
@@ -84,63 +82,6 @@ func TestCutSplitRemainder(t *testing.T) {
 			t.Fatalf("Lookup(%v) = %d, want %d", p, got, want)
 		}
 	}
-}
-
-func TestLookupBatchParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	rs := structuredRuleSet(rng, 400)
-	e, err := Build(rs, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkts := make([]rules.Packet, 512)
-	for i := range pkts {
-		pkts[i] = conformance.RandomPacket(rng, rs)
-	}
-	// Exercise both implementations regardless of the host's CPU count:
-	// GOMAXPROCS(1) takes the serial-batch fallback, GOMAXPROCS(2) the
-	// two-worker split with pooled workers (valid even on one core — Go
-	// time-slices). Repeated calls reuse the pooled worker.
-	for _, procs := range []int{1, 2} {
-		old := runtime.GOMAXPROCS(procs)
-		for round := 0; round < 3; round++ {
-			out := make([]int, len(pkts))
-			e.LookupBatchParallel(pkts, out)
-			for i, p := range pkts {
-				if want := e.Lookup(p); out[i] != want {
-					t.Fatalf("procs=%d round %d: parallel[%d] = %d, sequential = %d",
-						procs, round, i, out[i], want)
-				}
-			}
-		}
-		// Concurrent callers must each get a worker (pool + spawn-on-empty).
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				out := make([]int, len(pkts))
-				e.LookupBatchParallel(pkts, out)
-			}()
-		}
-		wg.Wait()
-		runtime.GOMAXPROCS(old)
-	}
-
-	// Close retires the pooled workers; the engine must stay usable and
-	// Close must be idempotent.
-	e.Close()
-	e.Close()
-	old := runtime.GOMAXPROCS(2)
-	out := make([]int, len(pkts))
-	e.LookupBatchParallel(pkts, out)
-	runtime.GOMAXPROCS(old)
-	for i, p := range pkts {
-		if want := e.Lookup(p); out[i] != want {
-			t.Fatalf("after Close: parallel[%d] = %d, sequential = %d", i, out[i], want)
-		}
-	}
-	e.Close()
 }
 
 func TestProfileTraceMatchesLookup(t *testing.T) {

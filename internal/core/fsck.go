@@ -83,13 +83,11 @@ func verifyClusterGen(gdir string) FsckGeneration {
 			g.Problems = append(g.Problems, fmt.Sprintf("shard %d: %v", s, err))
 			continue
 		}
-		eng, err := ReadEngine(f, nil)
+		_, err = ReadEngine(f, nil)
 		f.Close()
 		if err != nil {
 			g.Problems = append(g.Problems, fmt.Sprintf("shard %d (%s): %v", s, name, err))
-			continue
 		}
-		eng.Close()
 	}
 	if m.Rules != "" {
 		blob, err := os.ReadFile(filepath.Join(gdir, m.Rules))
@@ -134,29 +132,19 @@ func loadClusterGenStrict(gdir string) (*Cluster, error) {
 		ruleByID: make(map[int]rules.Rule),
 	}
 	c.engines = make([]*Engine, len(m.Shards))
-	closeAll := func() {
-		for _, e := range c.engines {
-			if e != nil {
-				e.Close()
-			}
-		}
-	}
 	for s, name := range m.Shards {
 		f, err := os.Open(filepath.Join(gdir, name))
 		if err != nil {
-			closeAll()
 			return nil, err
 		}
 		eng, err := ReadEngine(f, nil)
 		f.Close()
 		if err != nil {
-			closeAll()
 			return nil, fmt.Errorf("core: loading shard %d (%s): %w", s, name, err)
 		}
 		c.engines[s] = eng
 	}
 	if err := c.rebuildReplicaTable(); err != nil {
-		closeAll()
 		return nil, err
 	}
 	c.finish()

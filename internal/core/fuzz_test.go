@@ -197,9 +197,10 @@ func FuzzLookupVsReference(f *testing.F) {
 
 // FuzzUpdateChurn decodes a base rule-set plus an update/lookup op stream
 // and asserts the engine tracks a linear mirror through inserts, deletes,
-// modifies, overlay compactions, and in-place retrains. Inserted rules get
-// priorities from two never-colliding counters (one beating every live
-// rule, one losing to all), so results stay exact.
+// modifies, overlay compactions, and in-place retrains, on the scalar,
+// one-packet batch and no-early-termination paths. Inserted and
+// re-prioritized rules get priorities from two never-colliding counters
+// (one beating every live rule, one losing to all), so results stay exact.
 func FuzzUpdateChurn(f *testing.F) {
 	for _, seed := range churnSeedCorpus() {
 		f.Add(seed)
@@ -223,9 +224,23 @@ func FuzzUpdateChurn(f *testing.F) {
 		var probes []rules.Packet
 		retrains := 0
 
+		one, oneOut := make([]rules.Packet, 1), make([]int, 1)
 		verify := func(p rules.Packet) {
-			if got, want := e.Lookup(p), mirror.MatchID(p); got != want {
+			want := mirror.MatchID(p)
+			if got := e.Lookup(p); got != want {
 				t.Fatalf("Lookup(%v) = %d, want %d (live %d)", p, got, want, mirror.Len())
+			}
+			// The ablation path queries the remainder unbounded and takes
+			// its winner's priority from the bound the overlay scan and the
+			// frozen walk lower, so a deleted, re-added or re-prioritized
+			// remainder rule must still resolve exactly.
+			if got := e.LookupNoEarlyTermination(p); got != want {
+				t.Fatalf("LookupNoEarlyTermination(%v) = %d, want %d (live %d)", p, got, want, mirror.Len())
+			}
+			one[0] = p
+			e.LookupBatch(one, oneOut)
+			if oneOut[0] != want {
+				t.Fatalf("LookupBatch([%v]) = %d, want %d (live %d)", p, oneOut[0], want, mirror.Len())
 			}
 		}
 
@@ -259,7 +274,7 @@ func FuzzUpdateChurn(f *testing.F) {
 				}
 				mirror.Rules[i] = mirror.Rules[mirror.Len()-1]
 				mirror.Rules = mirror.Rules[:mirror.Len()-1]
-			case 3: // modify: mutate one field, keep ID and (unique) priority
+			case 3: // modify: mutate one field, keep the ID, maybe re-prioritize
 				if mirror.Len() == 0 {
 					continue
 				}
@@ -267,6 +282,14 @@ func FuzzUpdateChurn(f *testing.F) {
 				mod := mirror.Rules[i]
 				mod.Fields = append([]rules.Range(nil), mod.Fields...)
 				mod.Fields[int(r.byte())%fuzzNumFields] = decodeField(r)
+				switch op & 0x30 {
+				case 0x10:
+					mod.Priority = hiPrio
+					hiPrio--
+				case 0x20:
+					mod.Priority = loPrio
+					loPrio++
+				}
 				if err := e.Modify(mod); err != nil {
 					t.Fatalf("modify %d: %v", mod.ID, err)
 				}
@@ -578,6 +601,13 @@ func churnSeedCorpus() [][]byte {
 			default: // corner sweep, then retrain
 				b = append(b, 6, 7)
 			}
+		}
+		// Re-prioritizing modifies (one to the top, one to the bottom),
+		// each followed by a corner sweep.
+		for k, op := range []byte{3 | 0x10, 3 | 0x20} {
+			b = append(b, op, byte(k), byte(k))
+			b = encodeField(b, extra.Rules[k].Fields[k])
+			b = append(b, 6)
 		}
 		seeds = append(seeds, b)
 	}

@@ -170,42 +170,3 @@ func (ov *remOverlay) withDelete(id int) *remOverlay {
 	next.del = del
 	return &next
 }
-
-// foldInto applies the overlay to the (id, priority) table it was frozen
-// against, sorted by ID, and returns the table of the remainder it
-// describes: deleted IDs drop out and additions merge in, in one linear
-// pass over the table. A frozen rule deleted and re-added since the freeze
-// appears once, with its new priority. The inputs are not mutated.
-func (ov *remOverlay) foldInto(ids []int, prios []int32) ([]int, []int32) {
-	if ov.size() == 0 {
-		return ids, prios
-	}
-	add := make([]int, len(ov.addID)) // indexes into addID, by ascending ID
-	for i := range add {
-		add[i] = i
-	}
-	sort.Slice(add, func(a, b int) bool { return ov.addID[add[a]] < ov.addID[add[b]] })
-	n := len(ids) - len(ov.del) + len(add)
-	outIDs := make([]int, 0, n)
-	outPrios := make([]int32, 0, n)
-	j, k := 0, 0
-	for i, id := range ids {
-		for ; k < len(add) && ov.addID[add[k]] < id; k++ {
-			outIDs = append(outIDs, ov.addID[add[k]])
-			outPrios = append(outPrios, ov.addPrio[add[k]])
-		}
-		for j < len(ov.del) && ov.del[j] < id {
-			j++
-		}
-		if j < len(ov.del) && ov.del[j] == id {
-			continue
-		}
-		outIDs = append(outIDs, id)
-		outPrios = append(outPrios, prios[i])
-	}
-	for ; k < len(add); k++ {
-		outIDs = append(outIDs, ov.addID[add[k]])
-		outPrios = append(outPrios, ov.addPrio[add[k]])
-	}
-	return outIDs, outPrios
-}

@@ -257,66 +257,9 @@ func TestConcurrentUpdatesVsFrozenLookups(t *testing.T) {
 	})
 }
 
-// TestOverlayFoldMatchesRemainder checks the invariant behind the lagging
-// (id, priority) table: after every update, folding the overlay into the
-// table gives exactly the sorted table of the current remainder, across
-// compactions and deletes that re-add an ID with a new priority.
-func TestOverlayFoldMatchesRemainder(t *testing.T) {
-	withCompactThreshold(8, func() {
-		rng := rand.New(rand.NewSource(83))
-		rs := structuredRuleSet(rng, 300)
-		e, err := Build(rs, fastOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		var rem []rules.Rule // remainder rules the test may delete
-		nextID := 70000
-		for step := 0; step < 400; step++ {
-			switch op := rng.Intn(3); {
-			case op == 0 || len(rem) == 0:
-				f := make([]rules.Range, 5)
-				for d := range f {
-					f[d] = rules.FullRange()
-				}
-				r := rules.Rule{ID: nextID, Priority: int32(rng.Intn(1 << 20)), Fields: f}
-				nextID++
-				if err := e.Insert(r); err != nil {
-					t.Fatal(err)
-				}
-				rem = append(rem, r)
-			default:
-				i := rng.Intn(len(rem))
-				r := rem[i]
-				if err := e.Delete(r.ID); err != nil {
-					t.Fatal(err)
-				}
-				if op == 1 { // re-add the same ID at a new priority
-					r.Priority = int32(rng.Intn(1 << 20))
-					if err := e.Insert(r); err != nil {
-						t.Fatal(err)
-					}
-					rem[i] = r
-				} else {
-					rem = append(rem[:i], rem[i+1:]...)
-				}
-			}
-			gotIDs, gotPrios := e.remOverlay.foldInto(e.remIDs, e.remPrios)
-			wantIDs, wantPrios := sortedRemainderTable(e.remainderRules)
-			if fmt.Sprint(gotIDs, gotPrios) != fmt.Sprint(wantIDs, wantPrios) {
-				t.Fatalf("step %d: folded table %v %v, want %v %v", step, gotIDs, gotPrios, wantIDs, wantPrios)
-			}
-		}
-		if e.Updates().OverlayCompactions == 0 {
-			t.Fatal("the churn never compacted")
-		}
-	})
-}
-
 // BenchmarkOverlayCompaction times one compaction of a full overlay on a
-// 20k-rule fw5 table (~5k remainder rules): the remainder's re-freeze plus
-// folding the overlay into the (id, priority) table. Refilling the overlay
-// between compactions is not timed.
+// 20k-rule fw5 table (~5k remainder rules): the remainder's re-freeze.
+// Refilling the overlay between compactions is not timed.
 func BenchmarkOverlayCompaction(b *testing.B) {
 	prof, err := classbench.ProfileByName("fw5")
 	if err != nil {
@@ -327,7 +270,6 @@ func BenchmarkOverlayCompaction(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer e.Close()
 	var victims []rules.Rule
 	for _, r := range rs.Rules {
 		if _, ok := e.inISet[r.ID]; !ok {

@@ -140,7 +140,6 @@ func (e *Engine) retrain(opts *Options) (RetrainStats, error) {
 	// remainder) of per-op copy-on-write — because fresh is still private:
 	// no snapshot of it is ever observed until adoptLocked publishes.
 	if err := faultinject.Hit(faultinject.PointRetrainReplay); err != nil {
-		fresh.Close()
 		return st, fmt.Errorf("core: retrain replay: %w", err)
 	}
 	if err := replayJournal(fresh, journal); err != nil {
@@ -288,11 +287,9 @@ func replayJournal(fresh *Engine, journal []journalOp) error {
 		fresh.live[r.ID] = true
 	}
 
-	// One bookkeeping rebuild instead of per-op maintenance: the ID index,
-	// the sorted (id, priority) table and the frozen remainder are
-	// reconstructed once.
+	// One bookkeeping rebuild instead of per-op maintenance: the ID index
+	// and the frozen remainder are reconstructed once.
 	fresh.remPos = fresh.remainderRules.IndexByID()
-	fresh.remIDs, fresh.remPrios = sortedRemainderTable(fresh.remainderRules)
 	fresh.refreezeRemainderLocked()
 	fresh.ustats.Inserted += grossIns
 	fresh.ustats.DeletedFromISets += grossDelISet
@@ -303,8 +300,6 @@ func replayJournal(fresh *Engine, journal []journalOp) error {
 // adoptLocked moves the retrained engine's entire state — write side and
 // read side — into e and publishes it. f is private to the caller (it never
 // escaped Build/replay), so its fields can be adopted without locking it.
-// e keeps its own parPool: pooled workers carry no engine state between
-// jobs, only scratch buffers.
 func (e *Engine) adoptLocked(f *Engine) {
 	e.opts = f.opts
 	e.rs = f.rs
@@ -320,12 +315,10 @@ func (e *Engine) adoptLocked(f *Engine) {
 	e.remainderRules = f.remainderRules
 	e.remPos = f.remPos
 	e.remFrozen, e.remOverlay = f.remFrozen, f.remOverlay
-	e.remIDs, e.remPrios = f.remIDs, f.remPrios
 	e.stats = f.stats
 	// The replacement's counters are exactly the replayed journal: those
 	// updates are real post-build drift (they live in the new remainder),
 	// so they must keep counting toward the next retrain trigger.
 	e.ustats = f.ustats
-	f.Close() // retire any pooled workers the replacement spawned
 	e.publishLocked()
 }

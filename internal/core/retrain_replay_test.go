@@ -80,7 +80,6 @@ func TestBatchReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 
 	rng := rand.New(rand.NewSource(55))
 	mirror := base.Clone()
@@ -154,7 +153,6 @@ func TestBatchReplayRejectsCorruptJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	r := rs.Rules[0]
 	r.Fields = append([]rules.Range(nil), r.Fields...)
 

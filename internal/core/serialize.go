@@ -630,9 +630,7 @@ func assembleEngine(opts Options, rs *rules.RuleSet, liveBitmap []byte, isets []
 	}
 	e.remainder = rem
 	e.stats.RemainderBackend = rem.Name()
-	e.remIDs, e.remPrios = sortedRemainderTable(remainderRules)
 	e.refreezeRemainderLocked()
-	e.parPool = make(chan *parWorker, 2)
 	e.publishLocked()
 	return e, nil
 }

@@ -46,7 +46,6 @@ func TestTableRoundTripRVH(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ReadEngine: %v", err)
 				}
-				defer loaded.Close()
 				if got := loaded.Stats().RemainderBackend; got != "rvh" {
 					t.Fatalf("loaded RemainderBackend = %q, want rvh", got)
 				}
@@ -92,7 +91,6 @@ func TestReadEngineUnknownRVHName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	blob := saveEngine(t, e)
 
 	if _, err := ReadEngine(bytes.NewReader(blob), nil); err == nil {
@@ -104,7 +102,6 @@ func TestReadEngineUnknownRVHName(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load with builder override: %v", err)
 	}
-	defer loaded.Close()
 	verifyLoadedEquivalence(t, e, loaded, d.mirror, d.rng, 200)
 }
 
@@ -127,7 +124,6 @@ func TestEngineCodecGoldenRVH(t *testing.T) {
 	for d.inserts+d.deletes < 80 {
 		d.step()
 	}
-	defer d.e.Close()
 	if os.Getenv("REGEN_TABLE_GOLDEN") == "1" {
 		if err := os.MkdirAll(filepath.Dir(goldenRVHTablePath), 0o755); err != nil {
 			t.Fatal(err)
@@ -145,7 +141,6 @@ func TestEngineCodecGoldenRVH(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden rvh table no longer loads — codec format drift? %v", err)
 	}
-	defer loaded.Close()
 	if got := loaded.Stats().RemainderBackend; got != "rvh" {
 		t.Fatalf("golden table loaded with backend %q, want rvh", got)
 	}

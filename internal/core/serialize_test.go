@@ -96,7 +96,6 @@ func TestTableRoundTripProfiles(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ReadEngine: %v", err)
 				}
-				defer loaded.Close()
 
 				verifyLoadedEquivalence(t, d.e, loaded, d.mirror, d.rng, 400)
 
@@ -145,11 +144,9 @@ func TestLoadedEngineStaysLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer loaded.Close()
 
 	// Swap the driver onto the loaded engine and keep churning with
 	// verified lookups, then retrain in place.
-	d.e.Close()
 	d.e = loaded
 	for i := 0; i < 400; i++ {
 		d.step()
@@ -176,7 +173,7 @@ func TestReadEngineTruncationAndCorruption(t *testing.T) {
 	blob := saveEngine(t, d.e)
 
 	for n := 0; n < len(blob); n++ {
-		loaded, err := ReadEngine(bytes.NewReader(blob[:n]), nil)
+		_, err := ReadEngine(bytes.NewReader(blob[:n]), nil)
 		if err == nil {
 			// The one admissible truncation point: cutting exactly the
 			// integrity trailer leaves a well-formed trailer-less artifact,
@@ -184,7 +181,6 @@ func TestReadEngineTruncationAndCorruption(t *testing.T) {
 			if n != len(blob)-tableTrailerLen {
 				t.Fatalf("truncation at %d/%d bytes loaded without error", n, len(blob))
 			}
-			loaded.Close()
 		}
 	}
 	// With the CRC32-C trailer, every byte flip — payload or trailer — must
@@ -192,8 +188,7 @@ func TestReadEngineTruncationAndCorruption(t *testing.T) {
 	for off := 0; off < len(blob); off += 7 {
 		mut := append([]byte(nil), blob...)
 		mut[off] ^= 0xff
-		if e2, err := ReadEngine(bytes.NewReader(mut), nil); err == nil {
-			e2.Close()
+		if _, err := ReadEngine(bytes.NewReader(mut), nil); err == nil {
 			t.Fatalf("bit flip at offset %d loaded without error (checksum not enforced)", off)
 		}
 	}
@@ -245,7 +240,6 @@ func TestCodecTrailer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("trailer-less v1 artifact rejected: %v", err)
 	}
-	defer stripped.Close()
 	verifyLoadedEquivalence(t, d.e, stripped, d.mirror, d.rng, 200)
 
 	// Bytes after the trailer make the whole input untrustworthy.
@@ -275,7 +269,6 @@ func TestReadEngineUnknownRemainder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	blob := saveEngine(t, e)
 
 	if _, err := ReadEngine(bytes.NewReader(blob), nil); err == nil {
@@ -285,7 +278,6 @@ func TestReadEngineUnknownRemainder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load with builder override: %v", err)
 	}
-	defer loaded.Close()
 	verifyLoadedEquivalence(t, e, loaded, d.mirror, d.rng, 200)
 }
 
@@ -321,7 +313,6 @@ func goldenEngine(t *testing.T) (*Engine, *rules.RuleSet) {
 // the file suffix).
 func TestEngineCodecGolden(t *testing.T) {
 	e, mirror := goldenEngine(t)
-	defer e.Close()
 	if os.Getenv("REGEN_TABLE_GOLDEN") == "1" {
 		if err := os.MkdirAll(filepath.Dir(goldenTablePath), 0o755); err != nil {
 			t.Fatal(err)
@@ -339,7 +330,6 @@ func TestEngineCodecGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden table no longer loads — codec format drift? %v", err)
 	}
-	defer loaded.Close()
 	rng := rand.New(rand.NewSource(99))
 	verifyLoadedEquivalence(t, e, loaded, mirror, rng, 400)
 }
@@ -355,7 +345,6 @@ func FuzzReadTable(f *testing.F) {
 		if err != nil {
 			return
 		}
-		defer e.Close()
 		p := make(rules.Packet, e.rs.NumFields)
 		e.Lookup(p)
 		out := make([]int, 4)
@@ -376,7 +365,6 @@ func tableSeedCorpus() [][]byte {
 		if _, err := e.WriteTo(&buf); err == nil {
 			seeds = append(seeds, buf.Bytes())
 		}
-		e.Close()
 	}
 	for _, name := range []string{"acl1", "fw1", "ipc1"} {
 		prof, err := classbench.ProfileByName(name)

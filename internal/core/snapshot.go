@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"nuevomatch/internal/rqrmi"
@@ -121,24 +120,26 @@ func (s *snapshot) lookup(p rules.Packet, bestPrio int32) int {
 	return best
 }
 
-// batchScratch is the fixed-size per-chunk scratch of lookupBatch. It is
+// batchScratch is the fixed-size per-chunk scratch of lookupBatch and of
+// LookupNoEarlyTermination's one-packet remainder batch (pkt). It is
 // pooled rather than stack-allocated because slices of it cross the
 // rules.FrozenClassifier interface boundary, which makes escape analysis
 // heap-move a stack array and cost one allocation per call; a pool hit
-// costs nothing after warm-up, keeping the batch path zero-alloc.
+// costs nothing after warm-up, keeping both paths zero-alloc.
 type batchScratch struct {
 	keys     [rqrmi.BatchChunk]uint32
 	ents     [rqrmi.BatchChunk]int32
 	best     [rqrmi.BatchChunk]int
 	bestPrio [rqrmi.BatchChunk]int32
+	pkt      [1]rules.Packet
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // isetChunk runs every iSet's batched RQ-RMI inference over one chunk of at
 // most rqrmi.BatchChunk packets, writing each packet's best validated
-// candidate into best/bestPrio (len(block) entries each). It is the shared
-// iSet half of lookupBatch and the §5.1 parallel split.
+// candidate into best/bestPrio (len(block) entries each): the iSet half of
+// lookupBatch.
 //
 //nm:hotpath
 func (s *snapshot) isetChunk(block []rules.Packet, keys *[rqrmi.BatchChunk]uint32, ents *[rqrmi.BatchChunk]int32, best []int, bestPrio []int32) {
@@ -221,81 +222,26 @@ func (s *snapshot) lookupBatch(pkts []rules.Packet, out []int) {
 // together with the immutable update overlay, so the whole remainder query
 // runs lock-free against flat arrays: overlay additions are scanned in
 // priority order, frozen tables are walked with deleted rules masked by the
-// overlay's sorted skip list. It also carries a sorted (id, priority) table
-// of the remainder rules as of the freeze, so the priority comparisons of
-// the merge paths are binary searches over flat slices instead of map
-// accesses.
+// overlay's sorted skip list.
 //
 //nm:immutable
 type remainderAdapter struct {
 	frozen   rules.FrozenClassifier
 	overlay  *remOverlay           // updates since the freeze
 	prefetch rules.BatchPrefetcher // non-nil when frozen can pre-warm its probes
-	// ids/prios are the remainder's (id, priority) table sorted by ID, as
-	// of the freeze (prioOf consults the overlay's additions first).
-	ids   []int
-	prios []int32
 }
 
-// newRemainderAdapter binds the write side's current frozen remainder, its
-// overlay and the engine's (sorted, immutable) remainder table. All are
-// maintained copy-on-write by the write side, so building an adapter is
-// O(1).
+// newRemainderAdapter binds the write side's current frozen remainder and
+// its overlay. Both are maintained copy-on-write by the write side, so
+// building an adapter is O(1).
 //
 //nm:builder remainderAdapter
-func newRemainderAdapter(frozen rules.FrozenClassifier, overlay *remOverlay, ids []int, prios []int32) remainderAdapter {
-	ra := remainderAdapter{frozen: frozen, overlay: overlay, ids: ids, prios: prios}
+func newRemainderAdapter(frozen rules.FrozenClassifier, overlay *remOverlay) remainderAdapter {
+	ra := remainderAdapter{frozen: frozen, overlay: overlay}
 	if pf, ok := frozen.(rules.BatchPrefetcher); ok {
 		ra.prefetch = pf
 	}
 	return ra
-}
-
-// sortedRemainderTable builds the initial (id, priority) table, sorted by
-// ID, from the remainder rule-set.
-func sortedRemainderTable(rr *rules.RuleSet) ([]int, []int32) {
-	order := make([]int, rr.Len())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return rr.Rules[order[a]].ID < rr.Rules[order[b]].ID
-	})
-	ids := make([]int, len(order))
-	prios := make([]int32, len(order))
-	for i, j := range order {
-		ids[i] = rr.Rules[j].ID
-		prios[i] = rr.Rules[j].Priority
-	}
-	return ids, prios
-}
-
-// prioOf returns the priority of remainder rule id, which the caller got
-// as a remainder winner. The overlay's additions are the only rules newer
-// than the table, so they are scanned first (at most the compaction
-// threshold); the table is then binary-searched. A rule deleted since the
-// freeze keeps its table entry, which is harmless: it is never a winner.
-//
-//nm:hotpath
-func (ra *remainderAdapter) prioOf(id int) (int32, bool) {
-	for i, aid := range ra.overlay.addID {
-		if aid == id {
-			return ra.overlay.addPrio[i], true
-		}
-	}
-	lo, hi := 0, len(ra.ids)-1
-	for lo <= hi {
-		mid := int(uint(lo+hi) >> 1)
-		switch {
-		case ra.ids[mid] < id:
-			lo = mid + 1
-		case ra.ids[mid] > id:
-			hi = mid - 1
-		default:
-			return ra.prios[mid], true
-		}
-	}
-	return 0, false
 }
 
 // lookupWithBound queries the remainder under the caller's best priority,
@@ -314,32 +260,4 @@ func (ra *remainderAdapter) lookupWithBound(p rules.Packet, bestPrio int32) int 
 		best = id
 	}
 	return best
-}
-
-// lookupUnboundedBatch fills out[i] with the remainder's unbounded winner
-// (or -1) for pkts[i], using the table-major frozen walk so each table's
-// tuple and directory stay cache-hot across the chunk. bounds is
-// caller-owned scratch of at least len(pkts) entries.
-//
-//nm:hotpath
-func (ra *remainderAdapter) lookupUnboundedBatch(pkts []rules.Packet, bounds []int32, out []int) {
-	for i := range pkts {
-		out[i] = rules.NoMatch
-		bounds[i] = math.MaxInt32
-	}
-	ra.overlay.scanBatch(pkts, bounds, out)
-	ra.frozen.LookupBatch(pkts, bounds, ra.overlay.del, out)
-}
-
-// lookupUnbounded queries the remainder in full (the §4 ablation and the
-// two-core merge), returning the match and its priority.
-//
-//nm:hotpath
-func (ra *remainderAdapter) lookupUnbounded(p rules.Packet) (id int, prio int32, ok bool) {
-	id = ra.lookupWithBound(p, math.MaxInt32)
-	if id < 0 {
-		return rules.NoMatch, 0, false
-	}
-	prio, ok = ra.prioOf(id)
-	return id, prio, ok
 }

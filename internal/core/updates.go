@@ -273,9 +273,7 @@ func (e *Engine) liveRuleSetLocked() *rules.RuleSet {
 
 // Rebuild retrains the engine over the current live rules — the periodic
 // retraining of Figure 7 — and returns the fresh engine. The receiver
-// remains valid and serves lookups while the replacement trains; once
-// traffic has moved over, Close the old engine to retire its pooled
-// workers.
+// remains valid and serves lookups while the replacement trains.
 func (e *Engine) Rebuild() (*Engine, error) {
 	return Build(e.LiveRuleSet(), e.opts)
 }

@@ -325,7 +325,6 @@ func TestLiveRuleSetReflectsUpdates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer e.Close()
 			if e.remainderRules.Len() < 2 {
 				t.Fatalf("remainder holds %d rules, the cases need at least 2", e.remainderRules.Len())
 			}
@@ -356,7 +355,6 @@ func TestLiveRuleSetReflectsUpdates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer loaded.Close()
 			verifyLoadedEquivalence(t, e, loaded, ref, rng, 300)
 			// Every live rule's low corner, then random packets.
 			var pkts []rules.Packet
@@ -370,15 +368,9 @@ func TestLiveRuleSetReflectsUpdates(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				pkts = append(pkts, conformance.RandomPacket(rng, ref))
 			}
-			par := make([]int, len(pkts))
-			e.LookupBatchParallel(pkts, par)
-			for i, p := range pkts {
-				want := ref.MatchID(p)
-				if got := e.LookupNoEarlyTermination(p); got != want {
+			for _, p := range pkts {
+				if got, want := e.LookupNoEarlyTermination(p), ref.MatchID(p); got != want {
 					t.Fatalf("LookupNoEarlyTermination(%v) = %d, want %d", p, got, want)
-				}
-				if par[i] != want {
-					t.Fatalf("LookupBatchParallel[%d] = %d, want %d", i, par[i], want)
 				}
 			}
 		})
@@ -443,7 +435,6 @@ func TestModifyIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	inISet := func(id int) bool { _, ok := e.inISet[id]; return ok }
 	victim, p := hittableRule(t, rs, inISet)
 
@@ -503,7 +494,6 @@ func TestISetDeleteCopiesOnlyLiveness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	var ids []int
 	for _, r := range rs.Rules {
 		if _, ok := e.inISet[r.ID]; ok {
@@ -557,7 +547,6 @@ func remainderUpdateBytes(t *testing.T, size int) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	var victims []rules.Rule
 	for _, r := range rs.Rules {
 		if _, ok := e.inISet[r.ID]; !ok {

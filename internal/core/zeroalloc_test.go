@@ -11,8 +11,8 @@ import (
 )
 
 // TestLookupPathsZeroAlloc is the enforcement of the frozen-remainder
-// design goal: after warm-up, neither the scalar nor the batched lookup
-// path allocates — the whole pipeline (iSet inference, validation, frozen
+// design goal: after warm-up, no lookup path (scalar, batched, or the
+// no-early-termination ablation) allocates — the whole pipeline (iSet inference, validation, frozen
 // remainder, overlay scan) runs on snapshot-owned flat arrays and stack
 // scratch. The guard runs once per remainder backend (each serving as the
 // engine's remainder), so every backend's frozen lookup paths are held to
@@ -80,6 +80,12 @@ func lookupPathsZeroAlloc(t *testing.T, opts Options, drift bool) {
 		i++
 	}); avg != 0 {
 		t.Errorf("Lookup allocates %.2f objects per call, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		e.LookupNoEarlyTermination(pkts[i%len(pkts)])
+		i++
+	}); avg != 0 {
+		t.Errorf("LookupNoEarlyTermination allocates %.2f objects per call, want 0", avg)
 	}
 
 	out := make([]int, 128)

@@ -23,9 +23,9 @@ import (
 // on a background goroutine, and WithAutopilotPersist re-saves the artifact
 // after every swap.
 //
-// Close releases background resources (the autopilot watcher and pooled
-// lookup workers). Lookups remain valid after Close — the published state is
-// immutable — but updates fail with ErrClosed, and Close is idempotent.
+// Close releases background resources (the autopilot watcher). Lookups
+// remain valid after Close — the published state is immutable — but updates
+// fail with ErrClosed, and Close is idempotent.
 type Table struct {
 	eng    *core.Engine
 	ap     *core.Autopilot
@@ -339,10 +339,11 @@ func (t *Table) LookupWithBound(p Packet, bestPrio int32) int {
 // highest-throughput entry point.
 func (t *Table) LookupBatch(pkts []Packet, out []int) { t.eng.LookupBatch(pkts, out) }
 
-// LookupBatchParallel is LookupBatch under the paper's two-core split
-// (§5.1): iSet inference and the remainder run on separate goroutines. On a
-// single-CPU process it degrades to LookupBatch.
-func (t *Table) LookupBatchParallel(pkts []Packet, out []int) { t.eng.LookupBatchParallel(pkts, out) }
+// LookupBatchParallel is LookupBatch.
+//
+// Deprecated: every lookup runs on its caller's goroutine; use LookupBatch,
+// and call it from more goroutines to use more cores.
+func (t *Table) LookupBatchParallel(pkts []Packet, out []int) { t.LookupBatch(pkts, out) }
 
 // Insert adds a rule online; per §3.9 additions go to the remainder.
 func (t *Table) Insert(r Rule) error {
@@ -446,10 +447,9 @@ func (t *Table) RQRMIBytes() int { return t.eng.RQRMIBytes() }
 // "Remainder").
 func (t *Table) RemainderBytes() int { return t.eng.RemainderBytes() }
 
-// Close stops the autopilot watcher (waiting out any in-flight retrain) and
-// releases the pooled lookup workers. Idempotent; concurrent lookups are
-// unaffected and remain valid after Close, while subsequent updates fail
-// with ErrClosed.
+// Close stops the autopilot watcher, waiting out any in-flight retrain.
+// Idempotent; concurrent lookups are unaffected and remain valid after
+// Close, while subsequent updates fail with ErrClosed.
 func (t *Table) Close() error {
 	if t.closed.Swap(true) {
 		return nil
@@ -457,7 +457,6 @@ func (t *Table) Close() error {
 	if t.ap != nil {
 		t.ap.Stop()
 	}
-	t.eng.Close()
 	return nil
 }
 

@@ -3,6 +3,7 @@ package nuevomatch_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -59,7 +60,6 @@ func TestOpenMatchesDeprecatedBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer engine.Close()
 
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
@@ -190,13 +190,11 @@ func TestTableSaveLoadFile(t *testing.T) {
 }
 
 // TestTableCloseSemantics is the lifecycle regression test: double-Close,
-// lookups after Close on every path, ErrClosed on updates, and no leaked
-// worker goroutines.
+// lookups after Close on every path, ErrClosed on updates, and no goroutine
+// outliving the table: every lookup runs on its caller's goroutine.
 func TestTableCloseSemantics(t *testing.T) {
-	prev := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(prev)
-
 	rs := testRuleSet(t, 200)
+	goroutines := runtime.NumGoroutine()
 	table, err := nuevomatch.Open(rs)
 	if err != nil {
 		t.Fatal(err)
@@ -207,8 +205,32 @@ func TestTableCloseSemantics(t *testing.T) {
 		pkts[i] = probe(rng, rs)
 	}
 	out := make([]int, len(pkts))
-	table.LookupBatchParallel(pkts, out) // warm the worker pool
-	goroutines := runtime.NumGoroutine()
+	lookupEveryPath := func(when string) {
+		t.Helper()
+		table.LookupBatch(pkts, out)
+		for i, p := range pkts {
+			want := rs.MatchID(p)
+			if got := table.Lookup(p); got != want {
+				t.Fatalf("%s Lookup(%v) = %d, want %d", when, p, got, want)
+			}
+			if got := table.LookupWithBound(p, math.MaxInt32); got != want {
+				t.Fatalf("%s LookupWithBound(%v) = %d, want %d", when, p, got, want)
+			}
+			if got := table.Engine().LookupNoEarlyTermination(p); got != want {
+				t.Fatalf("%s LookupNoEarlyTermination(%v) = %d, want %d", when, p, got, want)
+			}
+			if out[i] != want {
+				t.Fatalf("%s LookupBatch[%d] = %d, want %d", when, i, out[i], want)
+			}
+		}
+		table.LookupBatchParallel(pkts, out)
+		for i, p := range pkts {
+			if want := rs.MatchID(p); out[i] != want {
+				t.Fatalf("%s LookupBatchParallel[%d] = %d, want %d", when, i, out[i], want)
+			}
+		}
+	}
+	lookupEveryPath("pre-Close")
 
 	if err := table.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -217,15 +239,17 @@ func TestTableCloseSemantics(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 
-	// Lookups after Close never panic and stay correct.
-	for i, p := range pkts {
-		if got, want := table.Lookup(p), rs.MatchID(p); got != want {
-			t.Fatalf("post-Close Lookup(%v) = %d, want %d", p, got, want)
-		}
-		_ = i
+	// Nothing the table started outlives Close.
+	deadline := time.Now().Add(3 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
 	}
-	table.LookupBatch(pkts, out)
-	table.LookupBatchParallel(pkts, out)
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines after Open, lookups and Close, had %d before Open", n, goroutines)
+	}
+
+	// Lookups after Close never panic and stay correct.
+	lookupEveryPath("post-Close")
 
 	// Updates and persistence are refused.
 	if err := table.Insert(rs.Rules[0]); !errors.Is(err, nuevomatch.ErrClosed) {
@@ -239,15 +263,6 @@ func TestTableCloseSemantics(t *testing.T) {
 	}
 	if _, err := table.Save(&bytes.Buffer{}); !errors.Is(err, nuevomatch.ErrClosed) {
 		t.Errorf("Save after Close: err = %v, want ErrClosed", err)
-	}
-
-	// The worker pool must not re-accumulate goroutines after Close.
-	deadline := time.Now().Add(3 * time.Second)
-	for runtime.NumGoroutine() >= goroutines && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n >= goroutines {
-		t.Errorf("%d goroutines after Close, had %d before (leaked workers?)", n, goroutines)
 	}
 }
 
