@@ -410,10 +410,11 @@ func BenchmarkValidationFields(b *testing.B) {
 
 func BenchmarkUpdates(b *testing.B) {
 	rs := classbench.Generate(benchProfile(), 2000)
-	e, err := nuevomatch.Build(rs, nuevomatch.Options{})
+	e, err := nuevomatch.Open(rs)
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer e.Close()
 	b.Run("insert_delete", func(b *testing.B) {
 		fields := make([]nuevomatch.Range, 5)
 		for d := range fields {

@@ -87,9 +87,8 @@
 //
 // # Migration from the Options struct
 //
-// The pre-Table surface — Build(rs, Options{...}) returning an *Engine —
-// still compiles and behaves identically, but is deprecated: Open with
-// functional options replaces it, and *Table wraps the same engine (see
-// Table.Engine for the escape hatch). Options and Engine remain exported
-// for that shim and for code that embeds them.
+// The pre-Table surface — Build(rs, Options{...}) returning an *Engine,
+// and NewAutopilot over a bare Engine — is gone: Open with functional
+// options replaces Build, WithAutopilot replaces NewAutopilot, and
+// Table.Engine still returns the underlying *Engine.
 package nuevomatch

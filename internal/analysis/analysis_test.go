@@ -2,14 +2,13 @@ package analysis
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
-	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"nuevomatch/internal/classbench"
+	"nuevomatch/internal/rqrmi"
 	"nuevomatch/internal/trace"
 )
 
@@ -218,37 +217,39 @@ func TestBuildNMTreeRemainders(t *testing.T) {
 	}
 }
 
-func TestBenchArtifact(t *testing.T) {
+// TestBatchGate runs the batch experiment at unit-test scale: the
+// conformance pass covers the whole trace, both paths report a throughput,
+// and a bar the ratio cannot meet fails the experiment (benchrunner's
+// -minbatch exit path).
+func TestBatchGate(t *testing.T) {
 	old := MinMeasure
 	MinMeasure = 5 * time.Millisecond
 	defer func() { MinMeasure = old }()
-	a, err := RunBenchArtifact("acl1", 400, 1000, 1, "rvh")
+	var buf bytes.Buffer
+	cfg := tinyConfig(&buf)
+	cfg.Profiles = []string{"acl1"}
+	cfg.Size = 400
+	cfg.TraceLen = 1000
+	r := NewRunner(cfg)
+
+	res, err := r.Batch(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Lookup.ThroughputPPS <= 0 || a.LookupBatch.ThroughputPPS <= 0 {
-		t.Fatalf("non-positive throughput: %+v", a)
+	if res.ScalarPPS <= 0 || res.BatchPPS <= 0 || res.Ratio <= 0 {
+		t.Fatalf("non-positive throughput: %+v", res)
 	}
-	if a.Engine.RemainderBackend != "rvh" {
-		t.Fatalf("artifact records remainder backend %q, want rvh", a.Engine.RemainderBackend)
+	if res.Profile != "acl1" || res.Rules != 400 {
+		t.Fatalf("measured %s × %d rules, want acl1 × 400", res.Profile, res.Rules)
 	}
-	if a.Engine.TotalBytes <= 0 {
-		t.Fatal("non-positive memory footprint")
+	if res.Verified != cfg.TraceLen || res.Mismatches != 0 {
+		t.Fatalf("conformance pass verified %d packets with %d mismatches, want %d with 0", res.Verified, res.Mismatches, cfg.TraceLen)
 	}
-	dir := t.TempDir()
-	path, err := WriteBenchArtifact(dir, a)
-	if err != nil {
-		t.Fatal(err)
+	if !strings.Contains(buf.String(), "kernel "+rqrmi.KernelName()) {
+		t.Errorf("output does not name the machine's kernel:\n%s", buf.String())
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back BenchArtifact
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if back.Name != "acl1_400" {
-		t.Fatalf("name = %q", back.Name)
+
+	if _, err := r.Batch(1e9); err == nil || !strings.Contains(err.Error(), "below the required") {
+		t.Fatalf("Batch(1e9) = %v, want the below-the-bar error", err)
 	}
 }

@@ -5,12 +5,14 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
 
 	"nuevomatch/internal/classbench"
 	"nuevomatch/internal/core"
+	"nuevomatch/internal/cpu"
 	"nuevomatch/internal/iset"
 	"nuevomatch/internal/rqrmi"
 	"nuevomatch/internal/rules"
@@ -89,7 +91,7 @@ func Experiments() []string {
 	return []string{
 		"table1", "table2", "table3", "fig7", "fig8", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig17", "fields",
-		"contention",
+		"contention", "batch",
 	}
 }
 
@@ -134,6 +136,9 @@ func (r *Runner) Run(exp string) error {
 		return r.Fields()
 	case "contention":
 		return r.Contention()
+	case "batch":
+		_, err := r.Batch(0)
+		return err
 	default:
 		return fmt.Errorf("analysis: unknown experiment %q (have %s)", exp, strings.Join(Experiments(), ", "))
 	}
@@ -788,6 +793,72 @@ func (r *Runner) Contention() error {
 	fmt.Fprintf(w, "  %-10s %-14.0f %-14.0f %.1f%%\n", "cs", csFree, csLoad, 100*(1-csLoad/csFree))
 	fmt.Fprintf(w, "  %-10s %-14.0f %-14.0f %.1f%%\n", "nm w/ cs", nmFree, nmLoad, 100*(1-nmLoad/nmFree))
 	return nil
+}
+
+// --- §4 batched inference: the batch-vs-scalar gate -----------------------
+
+// BatchResult is what the batch experiment measured: LookupBatch against
+// per-packet Lookup on one engine and one trace.
+type BatchResult struct {
+	Profile string
+	Rules   int
+	// Verified packets went through both LookupBatch and Lookup before any
+	// timing; Mismatches of them got different answers.
+	Verified, Mismatches int
+	ScalarPPS, BatchPPS  float64
+	// Ratio is BatchPPS / ScalarPPS.
+	Ratio float64
+}
+
+// Batch measures what batched, vectorized RQ-RMI inference (§4) buys end
+// to end: LookupBatch over BatchSize chunks against per-packet Lookup, on
+// the first profile at Size rules (NuevoMatch with the TupleMerge
+// remainder, error threshold 64) over the uniform trace. A conformance pass
+// runs first, so a speedup is never reported for a batched path that
+// computes something else. Batch errors on any mismatch and, when minRatio
+// is positive, on a ratio below it (benchrunner's -minbatch, the CI perf
+// gate); Run passes 0.
+func (r *Runner) Batch(minRatio float64) (BatchResult, error) {
+	profs := r.profiles()
+	if len(profs) == 0 {
+		return BatchResult{}, fmt.Errorf("analysis: no known profile among %v", r.cfg.Profiles)
+	}
+	p := profs[0]
+	rs := r.ruleSet(p, r.cfg.Size)
+	key := fmt.Sprintf("%s/%d", p.Name, r.cfg.Size)
+	tr := r.uniformTrace(key, rs)
+	e, err := r.engine(TM, key, rs)
+	if err != nil {
+		return BatchResult{}, err
+	}
+
+	res := BatchResult{Profile: p.Name, Rules: rs.Len(), Verified: len(tr.Packets)}
+	out := make([]int, len(tr.Packets))
+	e.LookupBatch(tr.Packets, out)
+	for i, pkt := range tr.Packets {
+		if out[i] != e.Lookup(pkt) {
+			res.Mismatches++
+		}
+	}
+	if res.Mismatches > 0 {
+		return res, fmt.Errorf("analysis: LookupBatch disagreed with Lookup on %d/%d packets", res.Mismatches, res.Verified)
+	}
+	res.ScalarPPS = Throughput1(e, tr.Packets)
+	res.BatchPPS = ThroughputBatch(e, tr.Packets)
+	res.Ratio = res.BatchPPS / res.ScalarPPS
+
+	w := r.cfg.W
+	fmt.Fprintf(w, "Batch vs scalar lookup (§4 batched inference): %s, %d rules, %d packets\n", p.Name, res.Rules, res.Verified)
+	fmt.Fprintf(w, "  machine      %s/%s, %d CPUs (GOMAXPROCS %d), simd %v, kernel %s\n",
+		runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0), cpu.Features(), rqrmi.KernelName())
+	fmt.Fprintf(w, "  conformance  %d/%d packets identical\n", res.Verified-res.Mismatches, res.Verified)
+	fmt.Fprintf(w, "  Lookup       %12.0f pps\n", res.ScalarPPS)
+	fmt.Fprintf(w, "  LookupBatch  %12.0f pps  (chunks of %d)\n", res.BatchPPS, BatchSize)
+	fmt.Fprintf(w, "  ratio        %.2fx\n", res.Ratio)
+	if minRatio > 0 && res.Ratio < minRatio {
+		return res, fmt.Errorf("analysis: batch speedup %.2fx below the required %.2fx", res.Ratio, minRatio)
+	}
+	return res, nil
 }
 
 func dedupInts(xs []int) []int {

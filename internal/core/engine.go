@@ -133,10 +133,9 @@ type Engine struct {
 	mu     sync.Mutex
 	rs     *rules.RuleSet // built rules; positions are stable
 	posID  map[int]int    // built rule ID -> position
-	prioID map[int]int32  // every live rule ID (built + inserted) -> priority
-	live   map[int]bool   // rule ID -> not deleted
+	live   map[int]bool   // every live rule ID (built + inserted); deletes remove the key
 	isets  []isetIndex
-	inISet map[int]isetEntry // rule ID -> iSet membership
+	inISet map[int]struct{} // live rule IDs indexed by an iSet
 	// meta is the per-position metadata, fixed at build and shared by
 	// every snapshot.
 	meta []ruleMeta
@@ -173,11 +172,6 @@ type Engine struct {
 	publishes int
 }
 
-type isetEntry struct {
-	iset  int
-	entry int
-}
-
 var _ rules.BoundedClassifier = (*Engine)(nil)
 
 // Build trains a NuevoMatch engine over rs.
@@ -190,13 +184,11 @@ func Build(rs *rules.RuleSet, opts Options) (*Engine, error) {
 		opts:   opts,
 		rs:     rs.Clone(),
 		posID:  rs.IndexByID(),
-		prioID: make(map[int]int32, rs.Len()),
 		live:   make(map[int]bool, rs.Len()),
-		inISet: make(map[int]isetEntry, rs.Len()),
+		inISet: make(map[int]struct{}, rs.Len()),
 	}
 	for i := range e.rs.Rules {
 		e.live[e.rs.Rules[i].ID] = true
-		e.prioID[e.rs.Rules[i].ID] = e.rs.Rules[i].Priority
 	}
 	e.flattenRules()
 
@@ -231,7 +223,7 @@ func Build(rs *rules.RuleSet, opts Options) (*Engine, error) {
 			e.stats.MaxSearchDistance = ts.MaxError
 		}
 		for j := range entries {
-			e.inISet[e.rs.Rules[entries[j].Value].ID] = isetEntry{iset: i, entry: j}
+			e.inISet[e.rs.Rules[entries[j].Value].ID] = struct{}{}
 		}
 	}
 	e.stats.TrainingTime = time.Since(t0)

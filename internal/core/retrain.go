@@ -108,7 +108,7 @@ func (e *Engine) retrain(opts *Options) (RetrainStats, error) {
 	}
 	e.retraining = true
 	live := e.liveRuleSetLocked()
-	st.RulesBefore = len(e.prioID)
+	st.RulesBefore = len(e.live)
 	st.CoverageBefore = 1 - e.updateStatsLocked().RemainderFraction
 	if opts == nil {
 		o := e.opts
@@ -148,7 +148,7 @@ func (e *Engine) retrain(opts *Options) (RetrainStats, error) {
 	st.Replayed = len(journal)
 	e.adoptLocked(fresh)
 	st.SwapTime = time.Since(t1)
-	st.RulesAfter = len(e.prioID)
+	st.RulesAfter = len(e.live)
 	st.CoverageAfter = 1 - e.updateStatsLocked().RemainderFraction
 	return st, nil
 }
@@ -241,7 +241,6 @@ func replayJournal(fresh *Engine, journal []journalOp) error {
 		} else {
 			remDel[n.id] = true
 		}
-		delete(fresh.prioID, n.id)
 		delete(fresh.live, n.id)
 	}
 	var upd rules.Updatable
@@ -276,14 +275,13 @@ func replayJournal(fresh *Engine, journal []journalOp) error {
 		if len(r.Fields) != fresh.rs.NumFields {
 			return fmt.Errorf("journaled rule %d has %d fields, engine expects %d", r.ID, len(r.Fields), fresh.rs.NumFields)
 		}
-		if _, dup := fresh.prioID[r.ID]; dup {
+		if fresh.live[r.ID] {
 			return fmt.Errorf("journaled rule %d duplicates a live ID", r.ID)
 		}
 		if err := upd.Insert(r); err != nil {
 			return err
 		}
 		fresh.remainderRules.Add(r)
-		fresh.prioID[r.ID] = r.Priority
 		fresh.live[r.ID] = true
 	}
 
@@ -304,7 +302,6 @@ func (e *Engine) adoptLocked(f *Engine) {
 	e.opts = f.opts
 	e.rs = f.rs
 	e.posID = f.posID
-	e.prioID = f.prioID
 	e.live = f.live
 	e.isets = f.isets
 	e.inISet = f.inISet

@@ -563,9 +563,8 @@ func assembleEngine(opts Options, rs *rules.RuleSet, liveBitmap []byte, isets []
 		opts:   opts,
 		rs:     rs,
 		posID:  rs.IndexByID(),
-		prioID: make(map[int]int32, rs.Len()),
 		live:   make(map[int]bool, rs.Len()),
-		inISet: make(map[int]isetEntry, rs.Len()),
+		inISet: make(map[int]struct{}, rs.Len()),
 		isets:  isets,
 		stats:  stats,
 		ustats: ustats,
@@ -600,7 +599,7 @@ func assembleEngine(opts Options, rs *rules.RuleSet, liveBitmap []byte, isets []
 			claimed[pos] = true
 			size++
 			if liveBit(e.liveBits, pos) {
-				e.inISet[rs.Rules[pos].ID] = isetEntry{iset: i, entry: j}
+				e.inISet[rs.Rules[pos].ID] = struct{}{}
 			}
 		}
 		e.stats.ISetSizes = append(e.stats.ISetSizes, size)
@@ -610,7 +609,6 @@ func assembleEngine(opts Options, rs *rules.RuleSet, liveBitmap []byte, isets []
 	// Live rules are exactly the iSet members plus the remainder rules; the
 	// partitions must be disjoint.
 	for id := range e.inISet {
-		e.prioID[id] = e.meta[e.posID[id]].prio
 		e.live[id] = true
 	}
 	for i := range remainderRules.Rules {
@@ -618,7 +616,6 @@ func assembleEngine(opts Options, rs *rules.RuleSet, liveBitmap []byte, isets []
 		if _, inModel := e.inISet[r.ID]; inModel {
 			return nil, fmt.Errorf("core: rule %d is in both an iSet and the remainder", r.ID)
 		}
-		e.prioID[r.ID] = r.Priority
 		e.live[r.ID] = true
 	}
 

@@ -19,7 +19,7 @@ import (
 
 // ruleMeta is the per-position metadata of one built rule, kept in a flat
 // array indexed by the rule's position in the build-time rule order. It
-// replaces the posID/prioID maps on the read path. It never changes after
+// replaces the posID map on the read path. It never changes after
 // build: liveness is the separate bitset, so a delete copies that instead.
 type ruleMeta struct {
 	id   int

@@ -54,7 +54,7 @@ func (e *Engine) Updates() UpdateStats {
 
 func (e *Engine) updateStatsLocked() UpdateStats {
 	s := e.ustats
-	s.LiveRules = len(e.prioID)
+	s.LiveRules = len(e.live)
 	// Every inISet entry is live: deletions remove the entry (Delete's iSet
 	// branch), so the covered count is the map's size — O(1), which matters
 	// because the autopilot polls Updates() under the write lock.
@@ -72,7 +72,7 @@ func (e *Engine) Insert(r rules.Rule) error {
 	if err := e.checkRuleLocked(r); err != nil {
 		return err
 	}
-	if _, dup := e.prioID[r.ID]; dup {
+	if e.live[r.ID] {
 		return fmt.Errorf("core: duplicate rule ID %d", r.ID)
 	}
 	if err := e.insertLocked(r); err != nil {
@@ -121,7 +121,6 @@ func (e *Engine) insertLocked(r rules.Rule) error {
 	e.remainderRules.Add(r)
 	e.remOverlay = e.remOverlay.withAdd(r)
 	e.maybeCompactOverlayLocked()
-	e.prioID[r.ID] = r.Priority
 	e.live[r.ID] = true
 	e.ustats.Inserted++
 	e.journalInsertLocked(r)
@@ -177,7 +176,6 @@ func (e *Engine) deleteLocked(id int) error {
 		e.maybeCompactOverlayLocked()
 		e.ustats.DeletedFromRemainder++
 	}
-	delete(e.prioID, id)
 	delete(e.live, id)
 	e.journalDeleteLocked(id)
 	return nil

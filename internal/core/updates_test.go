@@ -22,8 +22,7 @@ func TestDeleteFromISetTombstones(t *testing.T) {
 	// Find a rule indexed by an iSet and a packet that matches it.
 	var victim int = -1
 	var pkt rules.Packet
-	for id, loc := range e.inISet {
-		_ = loc
+	for id := range e.inISet {
 		pos := e.posID[id]
 		r := &rs.Rules[pos]
 		p := make(rules.Packet, 5)

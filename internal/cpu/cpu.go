@@ -31,8 +31,8 @@ var X86 struct {
 }
 
 // Features returns the detected SIMD feature names in a stable order, for
-// machine metadata in BENCH_*.json artifacts. Empty on noasm/non-amd64
-// builds.
+// the machine shape that nmbench run records and benchrunner's batch gate
+// report. Empty on noasm/non-amd64 builds.
 func Features() []string {
 	var fs []string
 	if X86.HasSSE42 {

@@ -41,16 +41,11 @@ type (
 	// Builder constructs a classifier over a rule-set.
 	Builder = rules.Builder
 
-	// Engine is the classifier underlying a Table. It remains exported for
-	// the deprecated Build shim and for code written against the pre-Table
-	// API; new code should hold a *Table.
+	// Engine is the classifier underlying a Table (Table.Engine); new code
+	// should hold a *Table.
 	Engine = core.Engine
-	// Options is the positional configuration of the deprecated Build shim.
-	// New code passes functional options (WithMaxISets, WithRemainder, …)
-	// to Open and Load instead.
-	Options = core.Options
-	// BuildStats reports what Open (or Build) produced, including which
-	// remainder backend serves.
+	// BuildStats reports what Open produced, including which remainder
+	// backend serves.
 	BuildStats = core.BuildStats
 	// UpdateStats tracks drift since the last build (§3.9).
 	UpdateStats = core.UpdateStats
@@ -60,7 +55,7 @@ type (
 	// Autopilot supervises a live table: it watches update drift and
 	// retrains in place on a background goroutine when the policy trips.
 	// Lookups stay zero-lock across the hot swap. Attach one with
-	// WithAutopilot (or NewAutopilot for a bare Engine).
+	// WithAutopilot.
 	Autopilot = core.Autopilot
 	// AutopilotPolicy configures the drift triggers and the optional
 	// AfterRetrain persistence hook.
@@ -155,23 +150,6 @@ func ParseIPv4(s string) (uint32, error) { return rules.ParseIPv4(s) }
 
 // FormatIPv4 renders a field value in dotted-quad notation.
 func FormatIPv4(v uint32) string { return rules.FormatIPv4(v) }
-
-// Build trains a NuevoMatch engine over the rule-set. The zero Options
-// reproduce the paper's default setup: up to 4 iSets, 5% minimum coverage,
-// error threshold 64, TupleMerge remainder.
-//
-// Deprecated: use Open, which returns a *Table with the full
-// Save/Load/autopilot lifecycle; Table.Engine recovers the *Engine where
-// one is still required.
-func Build(rs *RuleSet, opts Options) (*Engine, error) { return core.Build(rs, opts) }
-
-// NewAutopilot wraps a built engine with a drift supervisor. Call Start to
-// launch the background watcher (and Stop to halt it), or drive Check
-// manually for deterministic retrain points. Tables attach their own via
-// WithAutopilot.
-func NewAutopilot(e *Engine, policy AutopilotPolicy) *Autopilot {
-	return core.NewAutopilot(e, policy)
-}
 
 // ErrRetrainInProgress is returned by Retrain when another retrain on the
 // same table has not finished yet.

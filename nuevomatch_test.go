@@ -24,15 +24,16 @@ func TestPaperFigure2(t *testing.T) {
 	rs.AddAuto(nuevomatch.PrefixRange(ip("10.10.3.0"), 24), nuevomatch.Range{Lo: 7, Hi: 20})  // R3
 	rs.AddAuto(nuevomatch.ExactRange(ip("10.10.3.100")), nuevomatch.ExactRange(19))           // R4
 
-	engine, err := nuevomatch.Build(rs, nuevomatch.Options{})
+	table, err := nuevomatch.Open(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer table.Close()
 	pkt := nuevomatch.Packet{ip("10.10.3.100"), 19}
-	if got := engine.Lookup(pkt); got != 3 {
+	if got := table.Lookup(pkt); got != 3 {
 		t.Fatalf("Lookup = rule %d, want 3 (action a4 in Figure 2)", got)
 	}
-	if got := engine.Lookup(nuevomatch.Packet{ip("192.168.0.1"), 19}); got != nuevomatch.NoMatch {
+	if got := table.Lookup(nuevomatch.Packet{ip("192.168.0.1"), 19}); got != nuevomatch.NoMatch {
 		t.Fatalf("Lookup = %d, want NoMatch", got)
 	}
 }
@@ -51,33 +52,38 @@ func TestRemainderBuilders(t *testing.T) {
 		{"neurocuts", nuevomatch.NeuroCuts},
 		{"rvh", nuevomatch.RVH},
 	} {
-		e, err := nuevomatch.Build(rs, nuevomatch.Options{Remainder: b.b})
+		table, err := nuevomatch.Open(rs, nuevomatch.WithRemainder(b.b))
 		if err != nil {
 			t.Fatalf("%s: %v", b.name, err)
 		}
-		if got := e.Lookup(nuevomatch.Packet{7, 99}); got != 7 {
+		if got := table.Lookup(nuevomatch.Packet{7, 99}); got != 7 {
 			t.Errorf("%s: Lookup = %d, want 7", b.name, got)
 		}
+		table.Close()
 	}
 }
 
 // TestAutopilotPublicSurface exercises the drift supervisor end-to-end
-// through the public API: churn an engine past the policy threshold, let
-// Check retrain it in place, and verify the engine pointer kept serving
-// correct results.
+// through the public API: churn a table past the policy threshold, let
+// Check retrain it in place, and verify the table's engine pointer kept
+// serving correct results.
 func TestAutopilotPublicSurface(t *testing.T) {
 	rs := nuevomatch.NewRuleSet(2)
 	for i := uint32(0); i < 200; i++ {
 		rs.AddAuto(nuevomatch.ExactRange(i), nuevomatch.Range{Lo: i, Hi: i + 1000})
 	}
-	engine, err := nuevomatch.Build(rs, nuevomatch.Options{})
+	// A negative Interval disables the background watcher, so Check alone
+	// decides when the retrain happens.
+	table, err := nuevomatch.Open(rs, nuevomatch.WithAutopilot(nuevomatch.AutopilotPolicy{
+		MaxUpdates:   50,
+		MinLiveRules: 1,
+		Interval:     -1,
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap := nuevomatch.NewAutopilot(engine, nuevomatch.AutopilotPolicy{
-		MaxUpdates:   50,
-		MinLiveRules: 1,
-	})
+	defer table.Close()
+	engine, ap := table.Engine(), table.Autopilot()
 	if ap.Engine() != engine {
 		t.Fatal("Engine() must return the supervised engine")
 	}

@@ -417,9 +417,8 @@ func (t *Table) Health() Health {
 	return core.EngineHealth(t.ap.Stats())
 }
 
-// Engine exposes the underlying engine for code written against the
-// pre-Table API. The pointer is stable for the table's lifetime (retrains
-// swap state behind it).
+// Engine exposes the underlying engine. The pointer is stable for the
+// table's lifetime (retrains swap state behind it).
 //
 // Deprecated: new code should use the Table methods directly.
 func (t *Table) Engine() *Engine { return t.eng }

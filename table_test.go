@@ -16,6 +16,7 @@ import (
 	"nuevomatch"
 	"nuevomatch/internal/classbench"
 	"nuevomatch/internal/classifiers/linear"
+	"nuevomatch/internal/core"
 	"nuevomatch/internal/faultinject"
 )
 
@@ -46,17 +47,17 @@ func probe(rng *rand.Rand, rs *nuevomatch.RuleSet) nuevomatch.Packet {
 	return p
 }
 
-// TestOpenMatchesDeprecatedBuild proves the shim and the new surface build
-// the same classifier: Build(rs, Options{}) and Open(rs) agree with the
-// linear reference on every probe.
-func TestOpenMatchesDeprecatedBuild(t *testing.T) {
+// TestOpenMatchesCoreBuild proves Open without options builds the engine
+// the zero core.Options describe: both agree with the linear reference on
+// every probe and train the same number of iSets.
+func TestOpenMatchesCoreBuild(t *testing.T) {
 	rs := testRuleSet(t, 300)
 	table, err := nuevomatch.Open(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer table.Close()
-	engine, err := nuevomatch.Build(rs, nuevomatch.Options{}) // deprecated shim must keep compiling
+	engine, err := core.Build(rs, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +556,7 @@ func TestTableRemainderByName(t *testing.T) {
 }
 
 // TestRemainderMustBeFreezable checks that a remainder without a frozen
-// form is refused by Open, Build and Load, with an error naming it.
+// form is refused by Open and Load, with an error naming it.
 func TestRemainderMustBeFreezable(t *testing.T) {
 	rs := testRuleSet(t, 300)
 	wantNamed := func(what string, err error) {
@@ -566,8 +567,6 @@ func TestRemainderMustBeFreezable(t *testing.T) {
 	}
 	_, err := nuevomatch.Open(rs, nuevomatch.WithRemainder(linear.Build))
 	wantNamed("Open", err)
-	_, err = nuevomatch.Build(rs, nuevomatch.Options{Remainder: linear.Build})
-	wantNamed("Build", err)
 
 	table, err := nuevomatch.Open(rs)
 	if err != nil {
