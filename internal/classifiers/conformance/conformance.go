@@ -166,7 +166,10 @@ func CheckDegenerate(t *testing.T, build rules.Builder) {
 // list, and verifies that the frozen Lookup and LookupBatch agree with the
 // reference over the unmasked rules under random bounds — LookupBatch must
 // also lower each bound to its winner's priority and leave the entries it
-// cannot improve untouched.
+// cannot improve untouched. LookupBatch is also checked on the straggler
+// chunks that a walk sharing work across a chunk gets wrong or slow: every
+// packet but one already at a bound no rule beats, the reverse, and one
+// packet repeated under different bounds.
 func CheckFrozenSkip(t *testing.T, build rules.Builder, seed int64, n, probes int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -196,22 +199,68 @@ func CheckFrozenSkip(t *testing.T, build rules.Builder, seed int64, n, probes in
 
 	pkts := make([]rules.Packet, probes)
 	bounds := make([]int32, probes)
-	want := make([]int, probes)
 	for i := range pkts {
 		pkts[i] = RandomPacket(rng, rs)
 		bounds[i] = math.MaxInt32
 		if rng.Intn(4) == 0 {
 			bounds[i] = int32(rng.Intn(rs.Len() + 1))
 		}
-		want[i] = kept.MatchID(pkts[i])
+	}
+	checkFrozen(t, "random", f, kept, skip, pkts, bounds)
+
+	// Straggler chunks, one engine chunk each. A matching packet is the one
+	// that can improve; closed is a bound no rule beats.
+	const chunk = 128
+	var hit rules.Packet
+	for hit == nil {
+		if p := RandomPacket(rng, kept); kept.MatchID(p) >= 0 {
+			hit = p
+		}
+	}
+	closed := int32(math.MaxInt32)
+	for i := range rs.Rules {
+		closed = min(closed, rs.Rules[i].Priority)
+	}
+	pkts, bounds = pkts[:0], bounds[:0]
+	for i := 0; i < chunk; i++ {
+		pkts = append(pkts, RandomPacket(rng, rs))
+		bounds = append(bounds, closed)
+	}
+	pkts[chunk/2], bounds[chunk/2] = hit, math.MaxInt32
+	checkFrozen(t, "all closed but one", f, kept, skip, pkts, bounds)
+	for i := range bounds {
+		bounds[i] = math.MaxInt32
+	}
+	bounds[chunk/2] = closed
+	checkFrozen(t, "all open but one", f, kept, skip, pkts, bounds)
+	// The repeated packet's bounds straddle its winner's priority.
+	win := priorityOf(kept, kept.MatchID(hit))
+	for i := range pkts {
+		pkts[i] = hit
+		bounds[i] = win - 1 + int32(i%3)
+		if i%4 == 0 {
+			bounds[i] = int32(rng.Intn(rs.Len() + 1))
+		}
+	}
+	bounds[chunk-1] = math.MaxInt32
+	checkFrozen(t, "one packet repeated", f, kept, skip, pkts, bounds)
+}
+
+// checkFrozen checks f's Lookup per packet and LookupBatch over the whole of
+// pkts against the reference kept (the unmasked rules) under bounds.
+func checkFrozen(t *testing.T, name string, f rules.FrozenClassifier, kept *rules.RuleSet, skip []int, pkts []rules.Packet, bounds []int32) {
+	t.Helper()
+	want := make([]int, len(pkts))
+	for i, p := range pkts {
+		want[i] = kept.MatchID(p)
 		if want[i] >= 0 && priorityOf(kept, want[i]) >= bounds[i] {
 			want[i] = rules.NoMatch
 		}
-		if got := f.Lookup(pkts[i], bounds[i], skip); got != want[i] {
-			t.Fatalf("frozen Lookup(%v, bound %d) = %d, want %d", pkts[i], bounds[i], got, want[i])
+		if got := f.Lookup(p, bounds[i], skip); got != want[i] {
+			t.Fatalf("%s: frozen Lookup(%v, bound %d) = %d, want %d", name, p, bounds[i], got, want[i])
 		}
 	}
-	out := make([]int, probes)
+	out := make([]int, len(pkts))
 	lowered := append([]int32(nil), bounds...)
 	for i := range out {
 		out[i] = rules.NoMatch
@@ -223,8 +272,8 @@ func CheckFrozenSkip(t *testing.T, build rules.Builder, seed int64, n, probes in
 			wantBound = priorityOf(kept, want[i])
 		}
 		if out[i] != want[i] || lowered[i] != wantBound {
-			t.Fatalf("frozen LookupBatch packet %d: got %d (bound %d), want %d (bound %d)",
-				i, out[i], lowered[i], want[i], wantBound)
+			t.Fatalf("%s: frozen LookupBatch packet %d: got %d (bound %d), want %d (bound %d)",
+				name, i, out[i], lowered[i], want[i], wantBound)
 		}
 	}
 }

@@ -451,30 +451,38 @@ func (f Forest) MemoryFootprint() int {
 	return total
 }
 
-// Lookup implements rules.FrozenClassifier: every tree is probed, each under
-// the priority of the best match so far.
+// walk probes every tree for one packet, each under the priority of the
+// best match so far, and returns the winner and its priority, or
+// (-1, bestPrio): the one bounded walk behind Lookup and LookupBatch.
 //
 //nm:hotpath
-func (f Forest) Lookup(p rules.Packet, bestPrio int32, skip []int) int {
+func (f Forest) walk(p rules.Packet, bestPrio int32, skip []int) (int, int32) {
 	best := rules.NoMatch
 	for _, t := range f {
 		if id, prio := t.lookup(p, bestPrio, skip); id >= 0 {
 			best, bestPrio = id, prio
 		}
 	}
-	return best
+	return best, bestPrio
 }
 
-// LookupBatch implements rules.FrozenClassifier, lowering bounds[i] to the
-// priority of each winner it writes into out[i].
+// Lookup implements rules.FrozenClassifier with one bounded walk.
+//
+//nm:hotpath
+func (f Forest) Lookup(p rules.Packet, bestPrio int32, skip []int) int {
+	id, _ := f.walk(p, bestPrio, skip)
+	return id
+}
+
+// LookupBatch implements rules.FrozenClassifier packet-major: each packet
+// runs the same bounded walk as Lookup under its own bound, lowering
+// bounds[i] to the priority of each winner it writes into out[i].
 //
 //nm:hotpath
 func (f Forest) LookupBatch(pkts []rules.Packet, bounds []int32, skip []int, out []int) {
-	for _, t := range f {
-		for c, p := range pkts {
-			if id, prio := t.lookup(p, bounds[c], skip); id >= 0 {
-				out[c], bounds[c] = id, prio
-			}
+	for c, p := range pkts {
+		if id, prio := f.walk(p, bounds[c], skip); id >= 0 {
+			out[c], bounds[c] = id, prio
 		}
 	}
 }

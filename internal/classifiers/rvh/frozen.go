@@ -249,15 +249,19 @@ func (f *Frozen) groupHash(p rules.Packet, mask uint64, idx *[maxMaskFields]int3
 	return tuplehash.Finish(h)
 }
 
-// Lookup implements rules.FrozenClassifier: the live classifier's bounded
-// group walk over the compiled arrays. Zero locks, zero allocation.
+// walk is the frozen form's one bounded group walk, shared by Lookup and
+// LookupBatch: the live classifier's early-terminating scan for one packet
+// over the compiled arrays. The groups ascend by best priority, so it stops
+// at the first group that cannot beat this packet's bound, and the per-field
+// interval memo spans every group the packet visits. It returns the winner
+// and its priority, or (-1, bestPrio). Zero locks, zero allocation.
 //
 //nm:hotpath
-func (f *Frozen) Lookup(p rules.Packet, bestPrio int32, skip []int) int {
-	if len(p) < f.numFields {
-		return rules.NoMatch
-	}
+func (f *Frozen) walk(p rules.Packet, bestPrio int32, skip []int) (int, int32) {
 	best := rules.NoMatch
+	if len(p) < f.numFields {
+		return best, bestPrio
+	}
 	var idx [maxMaskFields]int32
 	var have uint64
 	for gi := 0; gi < f.numGroups; gi++ {
@@ -276,49 +280,26 @@ func (f *Frozen) Lookup(p rules.Packet, bestPrio int32, skip []int) int {
 			best, bestPrio = id, prio
 		}
 	}
-	return best
+	return best, bestPrio
 }
 
-// LookupBatch implements rules.FrozenClassifier group-major: each group is
-// hashed and probed for every still-improvable packet before moving to the
-// next, so a chunk shares the group's directory while it is cache-hot. The
-// groups' ascending-priority order gives a whole-batch early exit: once no
-// packet's bound exceeds the group's best priority, no later group can
-// improve anything.
+// Lookup implements rules.FrozenClassifier with one bounded walk.
+//
+//nm:hotpath
+func (f *Frozen) Lookup(p rules.Packet, bestPrio int32, skip []int) int {
+	id, _ := f.walk(p, bestPrio, skip)
+	return id
+}
+
+// LookupBatch implements rules.FrozenClassifier packet-major: each packet
+// runs the same bounded walk as Lookup under its own bound, so it stops at
+// its own cutoff group and keeps its interval memo across groups.
 //
 //nm:hotpath
 func (f *Frozen) LookupBatch(pkts []rules.Packet, bounds []int32, skip []int, out []int) {
-	nf := f.numFields
-	var idx [maxMaskFields]int32
-	for gi := 0; gi < f.numGroups; gi++ {
-		gp := f.gPrio[gi]
-		gm := f.gMask[gi]
-		occ := f.gOcc[gi]
-		improvable := false
-		for c, p := range pkts {
-			if gp >= bounds[c] || len(p) < nf {
-				continue
-			}
-			improvable = true
-			// The per-field memo is per packet: reset and rebuild. The
-			// group-major walk trades the cross-group memo for directory
-			// locality, matching the TupleMerge batch shape.
-			var have uint64
-			h := f.groupHash(p, gm, &idx, &have)
-			if occ&(1<<(h&63)) == 0 {
-				continue
-			}
-			start, n := f.probe(gi, h)
-			if n == 0 {
-				continue
-			}
-			if id, prio := f.scanBucket(start, n, p, bounds[c], skip); id >= 0 {
-				out[c] = id
-				bounds[c] = prio
-			}
-		}
-		if !improvable {
-			break
+	for c, p := range pkts {
+		if id, prio := f.walk(p, bounds[c], skip); id >= 0 {
+			out[c], bounds[c] = id, prio
 		}
 	}
 }

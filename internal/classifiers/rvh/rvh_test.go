@@ -21,6 +21,12 @@ func TestDegenerate(t *testing.T) {
 	conformance.CheckDegenerate(t, Build)
 }
 
+// TestFrozenSkipMatchesReference runs the shared frozen-form harness: Lookup
+// and LookupBatch with a skip list, under random and straggler bounds.
+func TestFrozenSkipMatchesReference(t *testing.T) {
+	conformance.CheckFrozenSkip(t, Build, 44, 600, 800)
+}
+
 // TestUpdateConformance interleaves inserts and deletes and checks lookups
 // against the rule-set reference after every burst. Inserted rules compute
 // their masks against the build-time boundary vectors, so this exercises

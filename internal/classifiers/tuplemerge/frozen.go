@@ -267,16 +267,19 @@ func (f *Frozen) probe(t *ftable, h uint64) (start, n int32) {
 	}
 }
 
-// Lookup implements rules.FrozenClassifier: the live classifier's bounded
-// table walk over the compiled arrays. Zero locks, zero allocation.
+// walk is the frozen form's one bounded table walk, shared by Lookup and
+// LookupBatch: the live classifier's early-terminating scan for one packet
+// over the compiled arrays. The tables ascend by best priority, so it stops
+// at the first table that cannot beat this packet's bound. It returns the
+// winner and its priority, or (-1, bestPrio). Zero locks, zero allocation.
 //
 //nm:hotpath
-func (f *Frozen) Lookup(p rules.Packet, bestPrio int32, skip []int) int {
+func (f *Frozen) walk(p rules.Packet, bestPrio int32, skip []int) (int, int32) {
 	nf := f.numFields
-	if len(p) < nf {
-		return rules.NoMatch
-	}
 	best := rules.NoMatch
+	if len(p) < nf {
+		return best, bestPrio
+	}
 	for ti := range f.tabs {
 		t := &f.tabs[ti]
 		if t.prio >= bestPrio {
@@ -294,7 +297,15 @@ func (f *Frozen) Lookup(p rules.Packet, bestPrio int32, skip []int) int {
 			best, bestPrio = id, prio
 		}
 	}
-	return best
+	return best, bestPrio
+}
+
+// Lookup implements rules.FrozenClassifier with one bounded walk.
+//
+//nm:hotpath
+func (f *Frozen) Lookup(p rules.Packet, bestPrio int32, skip []int) int {
+	id, _ := f.walk(p, bestPrio, skip)
+	return id
 }
 
 // prefetchTables caps how many leading tables PrefetchBatch touches. The
@@ -344,40 +355,18 @@ func (f *Frozen) PrefetchBatch(pkts []rules.Packet) {
 	}
 }
 
-// LookupBatch implements rules.FrozenClassifier table-major: each table is
-// hashed and probed for every still-improvable packet before moving to the
-// next, so a chunk shares the table's masks, filter and directory while they
-// are cache-hot. The tables' ascending-priority order gives a whole-batch
-// early exit: once no packet's bound exceeds the table's best priority, no
-// later table can improve anything.
+// LookupBatch implements rules.FrozenClassifier packet-major: each packet
+// runs the same bounded walk as Lookup under its own bound. Each packet stops
+// at its own cutoff table, so a chunk does no more work than the same
+// packets looked up one by one. A table-major order would keep a table live
+// while any packet in the chunk could still improve, and revisit every
+// packet per table.
 //
 //nm:hotpath
 func (f *Frozen) LookupBatch(pkts []rules.Packet, bounds []int32, skip []int, out []int) {
-	nf := f.numFields
-	for ti := range f.tabs {
-		t := &f.tabs[ti]
-		m := f.masks[ti*nf : ti*nf+nf]
-		improvable := false
-		for c, p := range pkts {
-			if t.prio >= bounds[c] || len(p) < nf {
-				continue
-			}
-			improvable = true
-			h := hash(t.seed, m, p)
-			if !f.mayHold(t, h) {
-				continue
-			}
-			start, n := f.probe(t, h)
-			if n == 0 {
-				continue
-			}
-			if id, prio := f.scanBucket(start, n, p, bounds[c], skip); id >= 0 {
-				out[c] = id
-				bounds[c] = prio
-			}
-		}
-		if !improvable {
-			break
+	for c, p := range pkts {
+		if id, prio := f.walk(p, bounds[c], skip); id >= 0 {
+			out[c], bounds[c] = id, prio
 		}
 	}
 }

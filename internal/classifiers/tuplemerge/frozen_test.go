@@ -133,7 +133,7 @@ func TestFrozenIsDetached(t *testing.T) {
 	}
 }
 
-// TestFrozenBatchAgreesWithScalar cross-checks the table-major batch walk
+// TestFrozenBatchAgreesWithScalar cross-checks the packet-major batch walk
 // against per-packet frozen lookups, including the in-place bounds
 // tightening and untouched-entry contract.
 func TestFrozenBatchAgreesWithScalar(t *testing.T) {
@@ -352,6 +352,65 @@ func BenchmarkFrozenLookupBatchDrifted(b *testing.B) {
 			bounds[j] = math.MaxInt32
 		}
 		f.LookupBatch(pkts[off:off+batch], bounds, nil, out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pkt")
+}
+
+// boundedPackets freezes TupleMerge over ClassBench acl1 × 5000 rules and
+// draws 4096 packets from its rules with the bounds an engine's iSets leave:
+// about 87% start at the priority of the rule they were drawn from, the rest
+// unbounded, as in acl1-50k where 13% of the remainder queries find a better
+// rule.
+func boundedPackets(b *testing.B) (rules.FrozenClassifier, []rules.Packet, []int32) {
+	prof, err := classbench.ProfileByName("acl1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rs := classbench.Generate(prof, 5000)
+	rng := rand.New(rand.NewSource(79))
+	pkts := make([]rules.Packet, 4096)
+	bounds := make([]int32, len(pkts))
+	for i := range pkts {
+		r := &rs.Rules[rng.Intn(rs.Len())]
+		pkts[i] = classbench.MatchingPacket(rng, r)
+		bounds[i] = math.MaxInt32
+		if rng.Intn(100) < 87 {
+			bounds[i] = r.Priority
+		}
+	}
+	return New(rs, DefaultConfig()).Freeze(), pkts, bounds
+}
+
+// BenchmarkFrozenLookupBounded is the per-packet side of the bounded pair:
+// Lookup over boundedPackets, 128 packets per iteration.
+func BenchmarkFrozenLookupBounded(b *testing.B) {
+	f, pkts, bounds := boundedPackets(b)
+	const batch = 128
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := i * batch % len(pkts)
+		for j, p := range pkts[off : off+batch] {
+			f.Lookup(p, bounds[off+j], nil)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pkt")
+}
+
+// BenchmarkFrozenLookupBatchBounded is the batched side of the bounded pair:
+// LookupBatch over the same packets and bounds, in batches of 128. Its
+// ns/pkt should be no higher than BenchmarkFrozenLookupBounded's.
+func BenchmarkFrozenLookupBatchBounded(b *testing.B) {
+	f, pkts, bounds := boundedPackets(b)
+	const batch = 128
+	work := make([]int32, batch)
+	out := make([]int, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := i * batch % len(pkts)
+		copy(work, bounds[off:off+batch])
+		f.LookupBatch(pkts[off:off+batch], work, nil, out)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pkt")
 }

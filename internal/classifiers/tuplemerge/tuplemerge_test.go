@@ -19,6 +19,12 @@ func TestDegenerate(t *testing.T) {
 	conformance.CheckDegenerate(t, Build)
 }
 
+// TestFrozenSkipMatchesReference runs the shared frozen-form harness: Lookup
+// and LookupBatch with a skip list, under random and straggler bounds.
+func TestFrozenSkipMatchesReference(t *testing.T) {
+	conformance.CheckFrozenSkip(t, Build, 43, 600, 800)
+}
+
 // tupleSpaceTables is the table count of Tuple Space Search over rs: one
 // table per distinct tuple of field prefix lengths.
 func tupleSpaceTables(rs *rules.RuleSet) int {

@@ -178,9 +178,9 @@ func (s *snapshot) isetChunk(block []rules.Packet, keys *[rqrmi.BatchChunk]uint3
 // lookupBatch classifies pkts into out using batched RQ-RMI inference: each
 // iSet's model runs stage-by-stage across a whole chunk of packets
 // (rqrmi.LookupEntryBatch), then candidates are validated against the flat
-// metadata, and finally the remainder is queried per chunk under the best
-// priorities found. Scratch comes from a pool, so the batch path allocates
-// nothing in steady state.
+// metadata, and finally the remainder walks each packet of the chunk under
+// the best priority found for it. Scratch comes from a pool, so the batch
+// path allocates nothing in steady state.
 //
 //nm:hotpath
 func (s *snapshot) lookupBatch(pkts []rules.Packet, out []int) {
@@ -205,8 +205,9 @@ func (s *snapshot) lookupBatch(pkts []rules.Packet, out []int) {
 		}
 		s.isetChunk(block, keys, ents, best[:n], bestPrio[:n])
 		// Pre-fill with the iSet winners, then let the overlay scan and the
-		// compiled table-major batch walk improve them in place. No locks,
-		// no allocation.
+		// frozen walk improve them in place. The frozen LookupBatch walks
+		// packet by packet, each under its own bound, so a packet the iSets
+		// settled costs what it costs in lookup. No locks, no allocation.
 		for c := range block {
 			out[off+c] = best[c]
 		}

@@ -91,12 +91,13 @@ func Skipped(skip []int, id int) bool {
 // engine calls PrefetchBatch for a chunk of packets BEFORE running RQ-RMI
 // inference on that chunk, so the memory system pulls the classifier's
 // bucket lines toward L1 underneath the inference arithmetic and the
-// subsequent LookupBatch probes hit warm cache. Implementations must not
-// allocate, must be safe for unsynchronized concurrent use, and must treat
-// the call as a pure hint (correctness never depends on it) — the same
-// hot-path contract as the frozen lookups, so nmlint trusts calls through
-// it (//nm:hotpath) and the runtime zero-alloc guards hold implementations
-// to it.
+// subsequent LookupBatch probes hit warm cache. LookupBatch walks the chunk
+// packet by packet, so the prefetch pass is the one place a chunk is
+// visited table by table. Implementations must not allocate, must be safe
+// for unsynchronized concurrent use, and must treat the call as a pure hint
+// (correctness never depends on it) — the same hot-path contract as the
+// frozen lookups, so nmlint trusts calls through it (//nm:hotpath) and the
+// runtime zero-alloc guards hold implementations to it.
 //
 //nm:hotpath
 type BatchPrefetcher interface {
