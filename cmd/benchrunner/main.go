@@ -10,8 +10,9 @@
 // Every experiment id maps to one table or figure of the evaluation
 // section; see EXPERIMENTS.md for the index and DESIGN.md for the
 // methodology substitutions. The batch experiment measures batched against
-// per-packet lookup on the first profile; with -minbatch R it exits 1 when
-// the ratio is below R. The performance record itself is nmbench (bench/).
+// per-packet lookup on the first profile over alternating pairs; with
+// -minbatch R it exits 1 when the median pair ratio is below R. The
+// performance record itself is nmbench (bench/).
 package main
 
 import (
@@ -34,7 +35,7 @@ func main() {
 		stanford = flag.Int("stanford", 20000, "Stanford backbone rule-set size (paper: ~183376)")
 		seed     = flag.Int64("seed", 1, "trace generation seed")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		minBatch = flag.Float64("minbatch", 0, "with -exp batch: exit non-zero unless batched/scalar throughput >= this ratio (0 disables; the CI perf gate)")
+		minBatch = flag.Float64("minbatch", 0, "with -exp batch: exit non-zero unless the median batched/scalar throughput ratio >= this (0 disables; the CI perf gate)")
 	)
 	flag.Parse()
 

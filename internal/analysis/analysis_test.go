@@ -219,6 +219,7 @@ func TestBuildNMTreeRemainders(t *testing.T) {
 
 // TestBatchGate runs the batch experiment at unit-test scale: the
 // conformance pass covers the whole trace, both paths report a throughput,
+// every pair reports a ratio, the gated median lies inside the quartiles,
 // and a bar the ratio cannot meet fails the experiment (benchrunner's
 // -minbatch exit path).
 func TestBatchGate(t *testing.T) {
@@ -238,6 +239,10 @@ func TestBatchGate(t *testing.T) {
 	}
 	if res.ScalarPPS <= 0 || res.BatchPPS <= 0 || res.Ratio <= 0 {
 		t.Fatalf("non-positive throughput: %+v", res)
+	}
+	if len(res.Ratios) != batchPairs || res.RatioQ1 > res.Ratio || res.Ratio > res.RatioQ3 {
+		t.Fatalf("ratios %v: median %.2f, quartiles %.2f-%.2f, want %d pairs with the median inside the quartiles",
+			res.Ratios, res.Ratio, res.RatioQ1, res.RatioQ3, batchPairs)
 	}
 	if res.Profile != "acl1" || res.Rules != 400 {
 		t.Fatalf("measured %s × %d rules, want acl1 × 400", res.Profile, res.Rules)

@@ -9,8 +9,8 @@ import (
 
 // This file implements the compiled, immutable form of the classifier,
 // mirroring the TupleMerge Frozen layout: the live group maps flatten into
-// contiguous arrays (an open-addressed bucket directory per group,
-// struct-of-arrays rule bounds) that an RCU-published engine snapshot can
+// contiguous arrays (an open-addressed bucket directory per group, one
+// rules.Records for the rules) that an RCU-published engine snapshot can
 // own and scan without locks, maps, pointer chasing, or allocation.
 
 // Frozen is the compiled RVH classifier: every boundary vector, group,
@@ -41,19 +41,12 @@ type Frozen struct {
 	// buckets are non-empty by construction), which terminates probes.
 	gSlotOff  []int32
 	slotHash  []uint64
-	slotStart []int32 // offset into entries
+	slotStart []int32 // first record of the bucket
 	slotLen   []int32 // 0 marks a free slot
 
-	// entries holds each bucket's rule indices contiguously, ascending by
-	// priority within the bucket.
-	entries []int32
-
-	// Rule storage, struct-of-arrays: priorities and IDs in their own flat
-	// arrays, field bounds flattened with stride numFields.
-	rPrio []int32
-	rID   []int
-	rLo   []uint32
-	rHi   []uint32
+	// recs holds every bucket's rules contiguously, ascending by priority
+	// within the bucket; a slot's span indexes it directly.
+	recs rules.Records
 }
 
 var _ rules.FrozenClassifier = (*Frozen)(nil)
@@ -69,10 +62,7 @@ func (c *Classifier) Freeze() rules.FrozenClassifier {
 
 	f := &Frozen{numFields: c.numFields}
 	nRules := len(c.whereIs)
-	f.rPrio = make([]int32, 0, nRules)
-	f.rID = make([]int, 0, nRules)
-	f.rLo = make([]uint32, 0, nRules*c.numFields)
-	f.rHi = make([]uint32, 0, nRules*c.numFields)
+	f.recs = rules.MakeRecords(c.numFields, nRules)
 	f.vecOff = append(f.vecOff, 0)
 	for _, v := range c.vecs {
 		f.vecBounds = append(f.vecBounds, v...)
@@ -121,17 +111,10 @@ func (c *Classifier) Freeze() rules.FrozenClassifier {
 				i = (i + 1) & mask
 			}
 			f.slotHash[base+int(i)] = bk.h
-			f.slotStart[base+int(i)] = int32(len(f.entries))
+			f.slotStart[base+int(i)] = int32(f.recs.Len())
 			f.slotLen[base+int(i)] = int32(len(bk.b))
 			for _, pos := range bk.b {
-				r := &c.rls[pos]
-				f.entries = append(f.entries, int32(len(f.rID)))
-				f.rPrio = append(f.rPrio, r.Priority)
-				f.rID = append(f.rID, r.ID)
-				for _, fd := range r.Fields {
-					f.rLo = append(f.rLo, fd.Lo)
-					f.rHi = append(f.rHi, fd.Hi)
-				}
+				f.recs.Append(&c.rls[pos])
 			}
 		}
 	}
@@ -139,7 +122,7 @@ func (c *Classifier) Freeze() rules.FrozenClassifier {
 }
 
 // Len implements rules.FrozenClassifier.
-func (f *Frozen) Len() int { return len(f.rID) }
+func (f *Frozen) Len() int { return f.recs.Len() }
 
 // MemoryFootprint implements rules.FrozenClassifier: the actual byte size
 // of the compiled arrays.
@@ -147,9 +130,7 @@ func (f *Frozen) MemoryFootprint() int {
 	return 4*len(f.vecOff) + 4*len(f.vecBounds) +
 		20*f.numGroups + // gMask + gPrio + gOcc
 		4*len(f.gSlotOff) + 16*len(f.slotHash) + // directory
-		4*len(f.entries) +
-		12*len(f.rID) + // rPrio + rID (8 bytes on 64-bit)
-		4*len(f.rLo) + 4*len(f.rHi)
+		f.recs.Bytes()
 }
 
 // intervalOf returns the interval index of v in field d — the count of
@@ -171,49 +152,7 @@ func (f *Frozen) intervalOf(d int, v uint32) int32 {
 	return lo - base
 }
 
-// matchRule verifies packet p against compiled rule ri with a branch-light
-// lockstep scan over the SoA bounds: one unsigned-subtract range check per
-// field, AND-accumulated so the loop carries no data-dependent branches.
-//
-//nm:hotpath
-func (f *Frozen) matchRule(ri int32, p rules.Packet) bool {
-	base := int(ri) * f.numFields
-	in := uint32(1)
-	for d := 0; d < f.numFields; d++ {
-		lo := f.rLo[base+d]
-		hi := f.rHi[base+d]
-		in &= b32(p[d]-lo <= hi-lo) // unsigned trick: lo <= p[d] <= hi
-	}
-	return in != 0
-}
-
-//nm:hotpath
-func b32(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// scanBucket walks one priority-sorted bucket under the bound, returning
-// the winner (or -1) and the tightened bound.
-//
-//nm:hotpath
-func (f *Frozen) scanBucket(start, n int32, p rules.Packet, bestPrio int32, skip []int) (int, int32) {
-	best := rules.NoMatch
-	for _, ri := range f.entries[start : start+n] {
-		if f.rPrio[ri] >= bestPrio {
-			break
-		}
-		if f.matchRule(ri, p) && !rules.Skipped(skip, f.rID[ri]) {
-			best = f.rID[ri]
-			bestPrio = f.rPrio[ri]
-		}
-	}
-	return best, bestPrio
-}
-
-// probe finds group gi's bucket for hash h, returning its entries span.
+// probe finds group gi's bucket for hash h, returning its records span.
 //
 //nm:hotpath
 func (f *Frozen) probe(gi int, h uint64) (start, n int32) {
@@ -276,7 +215,7 @@ func (f *Frozen) walk(p rules.Packet, bestPrio int32, skip []int) (int, int32) {
 		if n == 0 {
 			continue
 		}
-		if id, prio := f.scanBucket(start, n, p, bestPrio, skip); id >= 0 {
+		if id, prio := f.recs.Scan(int(start), int(start+n), p, bestPrio, skip); id >= 0 {
 			best, bestPrio = id, prio
 		}
 	}

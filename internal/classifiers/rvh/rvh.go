@@ -24,7 +24,7 @@
 //
 // The classifier supports online Insert/Delete (boundary vectors are fixed
 // at build time; later rules simply compute their mask against the existing
-// vectors) and compiles into an immutable struct-of-arrays form via Freeze
+// vectors) and compiles into an immutable flat form via Freeze
 // (frozen.go), so the engine serves it lock-free like any other Freezable
 // remainder.
 package rvh

@@ -13,8 +13,8 @@ import (
 // live Classifier is built for online updates — per-bucket slices behind a
 // bucket index behind an RWMutex — which is the right shape for the write
 // side but the wrong one for a lock-free read path. Freeze flattens the
-// whole table set into a handful of contiguous arrays (struct-of-arrays for
-// the rule bounds) that an RCU-published snapshot can own and scan without
+// whole table set into a handful of contiguous arrays (one rules.Records
+// for the rules) that an RCU-published snapshot can own and scan without
 // locks, maps, pointer chasing, or allocation.
 
 // Frozen is the compiled TupleMerge: every table, bucket and rule packed
@@ -38,16 +38,9 @@ type Frozen struct {
 	// slots holds every table's open-addressed bucket directory.
 	slots []slot
 
-	// entries holds each bucket's rule indices contiguously, ascending by
-	// priority within the bucket.
-	entries []int32
-
-	// Rule storage, struct-of-arrays: priorities and IDs in their own
-	// flat arrays, field bounds flattened with stride numFields.
-	rPrio []int32
-	rID   []int
-	rLo   []uint32
-	rHi   []uint32
+	// recs holds every bucket's rules contiguously, ascending by priority
+	// within the bucket; a slot's span indexes it directly.
+	recs rules.Records
 
 	// prefetchWorth records whether the leading tables' slot directories
 	// are big enough that PrefetchBatch plausibly beats the cost of the
@@ -76,7 +69,7 @@ type ftable struct {
 	filtShift uint32
 }
 
-// slot is one directory entry: a bucket's hash and its span of entries, so
+// slot is one directory entry: a bucket's hash and its span of records, so
 // a probe reads one 16-byte slot. Frozen buckets are non-empty, so n == 0
 // marks a free slot, which ends a probe.
 type slot struct {
@@ -101,10 +94,7 @@ func (c *Classifier) Freeze() rules.FrozenClassifier {
 	if len(c.tables) > 0 {
 		f.numFields = len(c.tables[0].lens)
 	}
-	f.rPrio = make([]int32, 0, nRules)
-	f.rID = make([]int, 0, nRules)
-	f.rLo = make([]uint32, 0, nRules*f.numFields)
-	f.rHi = make([]uint32, 0, nRules*f.numFields)
+	f.recs = rules.MakeRecords(f.numFields, nRules)
 
 	type bucket struct {
 		h uint64
@@ -155,16 +145,9 @@ func (c *Classifier) Freeze() rules.FrozenClassifier {
 			for dir[i].n != 0 {
 				i = (i + 1) & uint64(ft.slotMask)
 			}
-			dir[i] = slot{h: bk.h, start: int32(len(f.entries)), n: int32(len(bk.b))}
+			dir[i] = slot{h: bk.h, start: int32(f.recs.Len()), n: int32(len(bk.b))}
 			for _, pos := range bk.b {
-				r := &c.rules[pos]
-				f.entries = append(f.entries, int32(len(f.rID)))
-				f.rPrio = append(f.rPrio, r.Priority)
-				f.rID = append(f.rID, r.ID)
-				for _, fd := range r.Fields {
-					f.rLo = append(f.rLo, fd.Lo)
-					f.rHi = append(f.rHi, fd.Hi)
-				}
+				f.recs.Append(&c.rules[pos])
 			}
 		}
 		f.tabs = append(f.tabs, ft)
@@ -178,58 +161,14 @@ func (c *Classifier) Freeze() rules.FrozenClassifier {
 }
 
 // Len implements rules.FrozenClassifier.
-func (f *Frozen) Len() int { return len(f.rID) }
+func (f *Frozen) Len() int { return f.recs.Len() }
 
 // MemoryFootprint implements rules.FrozenClassifier: the actual byte size
 // of the compiled arrays.
 func (f *Frozen) MemoryFootprint() int {
 	return int(unsafe.Sizeof(ftable{}))*len(f.tabs) + 4*len(f.masks) +
 		8*len(f.filter) + int(unsafe.Sizeof(slot{}))*len(f.slots) +
-		4*len(f.entries) +
-		12*len(f.rID) + // rPrio + rID (8 bytes on 64-bit)
-		4*len(f.rLo) + 4*len(f.rHi)
-}
-
-// matchRule verifies packet p against compiled rule ri with a branch-light
-// lockstep scan over the SoA bounds: one unsigned-subtract range check per
-// field, AND-accumulated so the loop carries no data-dependent branches.
-//
-//nm:hotpath
-func (f *Frozen) matchRule(ri int32, p rules.Packet) bool {
-	base := int(ri) * f.numFields
-	in := uint32(1)
-	for d := 0; d < f.numFields; d++ {
-		lo := f.rLo[base+d]
-		hi := f.rHi[base+d]
-		in &= b32(p[d]-lo <= hi-lo) // unsigned trick: lo <= p[d] <= hi
-	}
-	return in != 0
-}
-
-//nm:hotpath
-func b32(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// scanBucket walks one priority-sorted bucket under the bound, returning
-// the winner (or -1) and the tightened bound.
-//
-//nm:hotpath
-func (f *Frozen) scanBucket(start, n int32, p rules.Packet, bestPrio int32, skip []int) (int, int32) {
-	best := rules.NoMatch
-	for _, ri := range f.entries[start : start+n] {
-		if f.rPrio[ri] >= bestPrio {
-			break
-		}
-		if f.matchRule(ri, p) && !rules.Skipped(skip, f.rID[ri]) {
-			best = f.rID[ri]
-			bestPrio = f.rPrio[ri]
-		}
-	}
-	return best, bestPrio
+		f.recs.Bytes()
 }
 
 // hash is tuplehash.HashPacket over the tuple whose masks are m and whose
@@ -254,7 +193,7 @@ func (f *Frozen) mayHold(t *ftable, h uint64) bool {
 	return f.filter[int(t.filtOff)+int(i>>6)]&(1<<(i&63)) != 0
 }
 
-// probe finds table t's bucket for hash h, returning its entries span.
+// probe finds table t's bucket for hash h, returning its records span.
 //
 //nm:hotpath
 func (f *Frozen) probe(t *ftable, h uint64) (start, n int32) {
@@ -293,7 +232,7 @@ func (f *Frozen) walk(p rules.Packet, bestPrio int32, skip []int) (int, int32) {
 		if n == 0 {
 			continue
 		}
-		if id, prio := f.scanBucket(start, n, p, bestPrio, skip); id >= 0 {
+		if id, prio := f.recs.Scan(int(start), int(start+n), p, bestPrio, skip); id >= 0 {
 			best, bestPrio = id, prio
 		}
 	}

@@ -23,6 +23,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -780,9 +781,13 @@ func readClusterManifest(data []byte) (clusterManifest, error) {
 	return m, nil
 }
 
-// writeFileAtomic writes data via a temp file and rename, so readers never
-// observe a torn file.
-func writeFileAtomic(path string, write func(*os.File) error) error {
+// WriteFileAtomic writes path through a temp file in its directory: write
+// fills the temp file, which is fsynced, closed, made 0644 and renamed over
+// path, and then the directory is fsynced (SyncDir). Readers never observe
+// a torn file, and without the directory sync a crash can lose the rename
+// itself and resurface the old file (or none) although the write
+// "succeeded".
+func WriteFileAtomic(path string, write func(*os.File) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -812,20 +817,23 @@ func writeFileAtomic(path string, write func(*os.File) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	return nil
+	return SyncDir(dir)
 }
 
 // shardFileName names shard s's table artifact inside a cluster directory.
 func shardFileName(s int) string { return fmt.Sprintf("shard-%02d.nm", s) }
 
-// syncDir fsyncs a directory, making completed renames inside it durable.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory, making completed renames inside it durable.
+// Filesystems that reject directory fsync (some network mounts) are
+// tolerated: the renames still happened, only their durability window
+// widens.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	if err := d.Sync(); err != nil {
+	if err := d.Sync(); err != nil && !errors.Is(err, os.ErrInvalid) {
 		return err
 	}
 	return nil

@@ -269,7 +269,7 @@ func (c *Cluster) SaveDir(dir string) error {
 	if err := faultinject.Hit(faultinject.PointClusterSaveSync); err != nil {
 		return err
 	}
-	if err := syncDir(stage); err != nil {
+	if err := SyncDir(stage); err != nil {
 		return err
 	}
 	if err := faultinject.Hit(faultinject.PointClusterSaveRename); err != nil {
@@ -278,21 +278,18 @@ func (c *Cluster) SaveDir(dir string) error {
 	if err := os.Rename(stage, filepath.Join(dir, genName)); err != nil {
 		return err
 	}
-	if err := syncDir(dir); err != nil {
+	if err := SyncDir(dir); err != nil {
 		return err
 	}
 	if err := faultinject.Hit(faultinject.PointClusterSaveCurrent); err != nil {
 		return err
 	}
-	err = writeFileAtomic(filepath.Join(dir, ClusterCurrentName), func(f *os.File) error {
+	err = WriteFileAtomic(filepath.Join(dir, ClusterCurrentName), func(f *os.File) error {
 		_, werr := f.WriteString(genName + "\n")
 		return werr
 	})
 	if err != nil {
 		return fmt.Errorf("core: updating %s: %w", ClusterCurrentName, err)
-	}
-	if err := syncDir(dir); err != nil {
-		return err
 	}
 	c.pruneGenerations(dir, gen)
 	return nil

@@ -89,11 +89,22 @@ func (o Options) minCoverage() float64 {
 	return o.MinCoverage
 }
 
-// isetIndex is one trained iSet: an RQ-RMI over one field whose entry
-// payloads are positions into the engine's built rule order.
+// isetIndex is one trained iSet: an RQ-RMI over one field and the rule
+// records of its entries. Record j is the rule of model entry j, so a
+// search result indexes it directly; the model's payloads (Values) are the
+// rules' built positions, which only the codec reads. live is the
+// per-entry liveness bitset (see liveBit): a delete publishes a copy with
+// the entry's bit cleared, so published snapshots never see it change.
 type isetIndex struct {
 	field int
 	model *rqrmi.Model
+	recs  rules.Records
+	live  []byte
+}
+
+// isetEntry locates a built rule in the iSets: entry entry of isets[iset].
+type isetEntry struct {
+	iset, entry int
 }
 
 // BuildStats reports what Build produced.
@@ -130,21 +141,12 @@ type Engine struct {
 	// by lookups.
 	//
 	//nm:lockscope
-	mu     sync.Mutex
-	rs     *rules.RuleSet // built rules; positions are stable
-	posID  map[int]int    // built rule ID -> position
-	live   map[int]bool   // every live rule ID (built + inserted); deletes remove the key
-	isets  []isetIndex
-	inISet map[int]struct{} // live rule IDs indexed by an iSet
-	// meta is the per-position metadata, fixed at build and shared by
-	// every snapshot.
-	meta []ruleMeta
-	// liveBits is the master copy of the built rules' liveness bitset
-	// (liveBit's layout); it is cloned before mutation once published (see
-	// clearLiveLocked).
-	liveBits []byte
-	// fieldLo/fieldHi are the flat field bounds shared by all snapshots.
-	fieldLo, fieldHi []uint32
+	mu    sync.Mutex
+	rs    *rules.RuleSet // built rules; positions are stable
+	live  map[int]bool   // every live rule ID (built + inserted); deletes remove the key
+	isets []isetIndex
+	// inISet maps each live rule ID indexed by an iSet to its entry.
+	inISet map[int]isetEntry
 
 	remainder      rules.Freezable
 	remainderRules *rules.RuleSet // current remainder content (for rebuild/stats)
@@ -183,14 +185,12 @@ func Build(rs *rules.RuleSet, opts Options) (*Engine, error) {
 	e := &Engine{
 		opts:   opts,
 		rs:     rs.Clone(),
-		posID:  rs.IndexByID(),
 		live:   make(map[int]bool, rs.Len()),
-		inISet: make(map[int]struct{}, rs.Len()),
+		inISet: make(map[int]isetEntry, rs.Len()),
 	}
 	for i := range e.rs.Rules {
 		e.live[e.rs.Rules[i].ID] = true
 	}
-	e.flattenRules()
 
 	var part *iset.Partition
 	if opts.maxISets() == 0 {
@@ -215,15 +215,12 @@ func Build(rs *rules.RuleSet, opts Options) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: training iSet %d (field %d): %w", i, is.Field, err)
 		}
-		e.isets = append(e.isets, isetIndex{field: is.Field, model: model})
+		e.addISet(is.Field, model, nil)
 		e.stats.Train = append(e.stats.Train, *ts)
 		e.stats.ISetSizes = append(e.stats.ISetSizes, len(is.Positions))
 		e.stats.ISetFields = append(e.stats.ISetFields, is.Field)
 		if ts.MaxError > e.stats.MaxSearchDistance {
 			e.stats.MaxSearchDistance = ts.MaxError
-		}
-		for j := range entries {
-			e.inISet[e.rs.Rules[entries[j].Value].ID] = struct{}{}
 		}
 	}
 	e.stats.TrainingTime = time.Since(t0)
@@ -270,28 +267,36 @@ func buildRemainder(opts Options, rs *rules.RuleSet) (rules.Freezable, error) {
 // and whenever the overlay outgrows the compaction threshold.
 func (e *Engine) refreezeRemainderLocked() {
 	e.remFrozen = e.remainder.Freeze()
-	e.remOverlay = &remOverlay{numFields: e.rs.NumFields}
+	e.remOverlay = &remOverlay{add: rules.MakeRecords(e.rs.NumFields, 0)}
 }
 
-// flattenRules packs the built rules' metadata and field bounds into the
-// flat arrays the snapshots share, and marks every rule live.
-func (e *Engine) flattenRules() {
-	n := e.rs.Len()
-	nf := e.rs.NumFields
-	e.meta = make([]ruleMeta, n)
-	e.liveBits = make([]byte, (n+7)/8)
-	e.fieldLo = make([]uint32, n*nf)
-	e.fieldHi = make([]uint32, n*nf)
-	for pos := range e.rs.Rules {
+// addISet appends the iSet of a model trained over the built rules. Entry
+// j's record is built rule Values()[j]; a negative payload is an unindexed
+// gap, whose record is never live and never beats a bound. An entry is
+// live when its position's bit is set in posLive (the codec's
+// position-indexed bitmap), or always when posLive is nil.
+func (e *Engine) addISet(field int, model *rqrmi.Model, posLive []byte) {
+	vals := model.Values()
+	is := isetIndex{
+		field: field,
+		model: model,
+		recs:  rules.MakeRecords(e.rs.NumFields, len(vals)),
+		live:  make([]byte, (len(vals)+7)/8),
+	}
+	gap := rules.Rule{ID: rules.NoMatch, Priority: math.MaxInt32, Fields: make([]rules.Range, e.rs.NumFields)}
+	for j, pos := range vals {
+		if pos < 0 {
+			is.recs.Append(&gap)
+			continue
+		}
 		r := &e.rs.Rules[pos]
-		e.meta[pos] = ruleMeta{id: r.ID, prio: r.Priority}
-		e.liveBits[pos/8] |= 1 << (pos % 8)
-		base := pos * nf
-		for d, f := range r.Fields {
-			e.fieldLo[base+d] = f.Lo
-			e.fieldHi[base+d] = f.Hi
+		is.recs.Append(r)
+		if posLive == nil || liveBit(posLive, pos) {
+			is.live[j/8] |= 1 << (j % 8)
+			e.inISet[r.ID] = isetEntry{iset: len(e.isets), entry: j}
 		}
 	}
+	e.isets = append(e.isets, is)
 }
 
 func allPositions(n int) []int {
@@ -307,13 +312,8 @@ func allPositions(n int) []int {
 // before the engine escapes).
 func (e *Engine) publishLocked() {
 	s := &snapshot{
-		numFields: e.rs.NumFields,
-		meta:      e.meta,
-		live:      e.liveBits,
-		fieldLo:   e.fieldLo,
-		fieldHi:   e.fieldHi,
-		isets:     e.isets,
-		rem:       newRemainderAdapter(e.remFrozen, e.remOverlay),
+		isets: e.isets,
+		rem:   newRemainderAdapter(e.remFrozen, e.remOverlay),
 	}
 	e.publishes++
 	e.snap.Store(s)
@@ -369,9 +369,9 @@ func (e *Engine) LookupWithBound(p rules.Packet, bestPrio int32) int {
 // least len(pkts) entries. It is the engine's primary high-throughput entry
 // point: RQ-RMI inference runs stage-by-stage across packet chunks
 // (amortizing per-stage overhead the way the paper's vectorized kernels do),
-// candidates validate against flat metadata, and the remainder is queried
-// per packet under the §4 early-termination bound. Results are identical to
-// calling Lookup per packet against the same snapshot.
+// candidates validate against their iSet's rule records, and the remainder
+// is queried per packet under the §4 early-termination bound. Results are
+// identical to calling Lookup per packet against the same snapshot.
 //
 //nm:hotpath
 func (e *Engine) LookupBatch(pkts []rules.Packet, out []int) {
@@ -389,7 +389,7 @@ func (e *Engine) LookupNoEarlyTermination(p rules.Packet) int {
 	best := rules.NoMatch
 	bestPrio := int32(math.MaxInt32)
 	for i := range s.isets {
-		if id, prio, ok := s.isetCandidate(&s.isets[i], p, bestPrio); ok {
+		if id, prio, ok := s.isets[i].lookup(p, bestPrio); ok {
 			best, bestPrio = id, prio
 		}
 	}

@@ -210,15 +210,12 @@ func FsckClusterDir(dir string, repair bool) (*FsckReport, error) {
 		return r, fmt.Errorf("core: %s has no intact generation to repair onto", dir)
 	}
 	if r.CurrentBefore != best {
-		err := writeFileAtomic(filepath.Join(dir, ClusterCurrentName), func(f *os.File) error {
+		err := WriteFileAtomic(filepath.Join(dir, ClusterCurrentName), func(f *os.File) error {
 			_, werr := f.WriteString(best + "\n")
 			return werr
 		})
 		if err != nil {
 			return r, fmt.Errorf("core: repairing %s: %w", ClusterCurrentName, err)
-		}
-		if err := syncDir(dir); err != nil {
-			return r, err
 		}
 		r.RepairedCurrent = true
 		r.CurrentAfter = best

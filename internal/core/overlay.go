@@ -22,51 +22,27 @@ import (
 var overlayCompactThreshold = 64
 
 // remOverlay is an immutable delta over the frozen remainder. Added rules
-// are stored struct-of-arrays sorted by ascending priority, so a scan can
-// stop at the bound and the first match is the best. del holds the IDs of
-// frozen rules deleted since the freeze, sorted ascending for the frozen
-// scan's binary-search mask; rules that were added and then deleted are
-// removed from the add arrays instead.
+// are records sorted by ascending priority, so a scan can stop at the bound
+// and the first match is the best. del holds the IDs of frozen rules
+// deleted since the freeze, sorted ascending for the frozen scan's
+// binary-search mask; rules that were added and then deleted are removed
+// from add instead.
 //
 //nm:immutable
 type remOverlay struct {
-	numFields int
-	addID     []int
-	addPrio   []int32  // ascending
-	addLo     []uint32 // stride numFields
-	addHi     []uint32
-	del       []int // sorted ascending
+	add rules.Records // ascending priority
+	del []int         // sorted ascending
 }
 
 // size is the delta's entry count, compared against the compaction
 // threshold.
-func (ov *remOverlay) size() int { return len(ov.addID) + len(ov.del) }
+func (ov *remOverlay) size() int { return ov.add.Len() + len(ov.del) }
 
 // scan returns the best added rule beating bestPrio that matches p, or -1.
-// Additions are priority-sorted, so the first match wins.
 //
 //nm:hotpath
 func (ov *remOverlay) scan(p rules.Packet, bestPrio int32) (int, int32) {
-	nf := ov.numFields
-	if len(p) < nf {
-		return rules.NoMatch, bestPrio
-	}
-	for i := range ov.addPrio {
-		if ov.addPrio[i] >= bestPrio {
-			break
-		}
-		base := i * nf
-		in := uint32(1)
-		for d := 0; d < nf; d++ {
-			lo := ov.addLo[base+d]
-			hi := ov.addHi[base+d]
-			in &= b32(p[d]-lo <= hi-lo)
-		}
-		if in != 0 {
-			return ov.addID[i], ov.addPrio[i]
-		}
-	}
-	return rules.NoMatch, bestPrio
+	return ov.add.Scan(0, ov.add.Len(), p, bestPrio, nil)
 }
 
 // scanBatch applies scan to a chunk, tightening bounds and recording
@@ -74,7 +50,7 @@ func (ov *remOverlay) scan(p rules.Packet, bestPrio int32) (int, int32) {
 //
 //nm:hotpath
 func (ov *remOverlay) scanBatch(pkts []rules.Packet, bounds []int32, out []int) {
-	if len(ov.addPrio) == 0 {
+	if ov.add.Len() == 0 {
 		return
 	}
 	for c, p := range pkts {
@@ -85,78 +61,26 @@ func (ov *remOverlay) scanBatch(pkts []rules.Packet, bounds []int32, out []int) 
 	}
 }
 
-//
-//nm:hotpath
-func b32(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // withAdd returns a new overlay with r inserted into the priority-sorted
-// add arrays. The receiver is never mutated: published snapshots keep
+// additions. The receiver is never mutated: published snapshots keep
 // referencing it.
 //
 //nm:builder remOverlay
 func (ov *remOverlay) withAdd(r rules.Rule) *remOverlay {
-	nf := ov.numFields
-	i := sort.Search(len(ov.addPrio), func(i int) bool { return ov.addPrio[i] > r.Priority })
-	n := len(ov.addID)
-	next := &remOverlay{
-		numFields: nf,
-		addID:     make([]int, n+1),
-		addPrio:   make([]int32, n+1),
-		addLo:     make([]uint32, (n+1)*nf),
-		addHi:     make([]uint32, (n+1)*nf),
-		del:       ov.del,
-	}
-	copy(next.addID, ov.addID[:i])
-	copy(next.addPrio, ov.addPrio[:i])
-	copy(next.addLo, ov.addLo[:i*nf])
-	copy(next.addHi, ov.addHi[:i*nf])
-	next.addID[i] = r.ID
-	next.addPrio[i] = r.Priority
-	for d, f := range r.Fields {
-		next.addLo[i*nf+d] = f.Lo
-		next.addHi[i*nf+d] = f.Hi
-	}
-	copy(next.addID[i+1:], ov.addID[i:])
-	copy(next.addPrio[i+1:], ov.addPrio[i:])
-	copy(next.addLo[(i+1)*nf:], ov.addLo[i*nf:])
-	copy(next.addHi[(i+1)*nf:], ov.addHi[i*nf:])
-	return next
+	i := sort.Search(ov.add.Len(), func(i int) bool { return ov.add.Prio(i) > r.Priority })
+	return &remOverlay{add: ov.add.Inserted(i, &r), del: ov.del}
 }
 
 // withDelete returns a new overlay reflecting the deletion of id: an added
-// rule is dropped from the add arrays, a frozen rule joins the sorted skip
+// rule is dropped from the additions, a frozen rule joins the sorted skip
 // list.
 //
 //nm:builder remOverlay
 func (ov *remOverlay) withDelete(id int) *remOverlay {
-	nf := ov.numFields
-	for i, aid := range ov.addID {
-		if aid != id {
-			continue
+	for i := 0; i < ov.add.Len(); i++ {
+		if ov.add.ID(i) == id {
+			return &remOverlay{add: ov.add.Removed(i), del: ov.del}
 		}
-		n := len(ov.addID)
-		next := &remOverlay{
-			numFields: nf,
-			addID:     make([]int, n-1),
-			addPrio:   make([]int32, n-1),
-			addLo:     make([]uint32, (n-1)*nf),
-			addHi:     make([]uint32, (n-1)*nf),
-			del:       ov.del,
-		}
-		copy(next.addID, ov.addID[:i])
-		copy(next.addID[i:], ov.addID[i+1:])
-		copy(next.addPrio, ov.addPrio[:i])
-		copy(next.addPrio[i:], ov.addPrio[i+1:])
-		copy(next.addLo, ov.addLo[:i*nf])
-		copy(next.addLo[i*nf:], ov.addLo[(i+1)*nf:])
-		copy(next.addHi, ov.addHi[:i*nf])
-		copy(next.addHi[i*nf:], ov.addHi[(i+1)*nf:])
-		return next
 	}
 	i := sort.SearchInts(ov.del, id)
 	if i < len(ov.del) && ov.del[i] == id {

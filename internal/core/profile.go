@@ -71,14 +71,8 @@ func (e *Engine) ProfileTrace(pkts []rules.Packet) (Profile, []int) {
 			if entries[i] < 0 {
 				continue
 			}
-			is := &s.isets[i]
-			pos := is.model.Values()[entries[i]]
-			if pos < 0 {
-				continue
-			}
-			m := &s.meta[pos]
-			if m.prio < bestPrio && liveBit(s.live, pos) && s.matches(pos, p) {
-				best, bestPrio = m.id, m.prio
+			if id, prio, ok := s.isets[i].candidate(entries[i], p, bestPrio); ok {
+				best, bestPrio = id, prio
 			}
 		}
 		t3 := time.Now()

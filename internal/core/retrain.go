@@ -234,9 +234,8 @@ func replayJournal(fresh *Engine, journal []journalOp) error {
 		if !fresh.live[n.id] {
 			return fmt.Errorf("journal deletes unknown rule %d", n.id)
 		}
-		if _, inModel := fresh.inISet[n.id]; inModel {
-			pos := fresh.posID[n.id]
-			fresh.liveBits[pos/8] &^= 1 << (pos % 8)
+		if ent, inModel := fresh.inISet[n.id]; inModel {
+			fresh.isets[ent.iset].live[ent.entry/8] &^= 1 << (ent.entry % 8)
 			delete(fresh.inISet, n.id)
 		} else {
 			remDel[n.id] = true
@@ -301,13 +300,9 @@ func replayJournal(fresh *Engine, journal []journalOp) error {
 func (e *Engine) adoptLocked(f *Engine) {
 	e.opts = f.opts
 	e.rs = f.rs
-	e.posID = f.posID
 	e.live = f.live
 	e.isets = f.isets
 	e.inISet = f.inISet
-	e.meta = f.meta
-	e.liveBits = f.liveBits
-	e.fieldLo, e.fieldHi = f.fieldLo, f.fieldHi
 	e.remainder = f.remainder
 	e.remainderRules = f.remainderRules
 	e.remPos = f.remPos

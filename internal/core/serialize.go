@@ -19,11 +19,13 @@ import (
 )
 
 // Binary engine serialization. Training is the expensive half of NuevoMatch
-// — the paper accepts minutes of RQ-RMI training because lookups amortize it
-// (§3.9) — so a production deployment builds a table offline, ships the
+// — the submodels are fitted directly, about 1.2 s for acl1 at the paper's
+// 500K rules on a 2-CPU box (the paper's gradient training took minutes,
+// §3.9) — so a production deployment builds a table offline, ships the
 // artifact, and loads it at startup in milliseconds. The codec captures the
 // engine's complete logical state: build options, the built rule-set with
-// per-position liveness, every trained RQ-RMI model (rqrmi.WriteTo), and the
+// per-position liveness (translated to and from the iSets' per-entry
+// bitsets), every trained RQ-RMI model (rqrmi.WriteTo), and the
 // current remainder rules (including online inserts and minus deletes). The
 // remainder classifier itself is NOT serialized: it is rebuilt
 // deterministically from the remainder rules on load — external-classifier
@@ -211,7 +213,7 @@ func (e *Engine) serializeTo(buf *bytes.Buffer) error {
 	if err := putRules(put, e.rs.Rules); err != nil {
 		return err
 	}
-	if err := put(e.liveBits); err != nil {
+	if err := put(e.liveBitmap()); err != nil {
 		return err
 	}
 
@@ -562,26 +564,17 @@ func assembleEngine(opts Options, rs *rules.RuleSet, liveBitmap []byte, isets []
 	e := &Engine{
 		opts:   opts,
 		rs:     rs,
-		posID:  rs.IndexByID(),
 		live:   make(map[int]bool, rs.Len()),
-		inISet: make(map[int]struct{}, rs.Len()),
-		isets:  isets,
+		inISet: make(map[int]isetEntry, rs.Len()),
 		stats:  stats,
 		ustats: ustats,
 	}
-	e.flattenRules()
-	// The engine's liveness bitset has the codec's layout: adopt it, with
-	// the unused high bits of the last byte cleared so a re-save is
-	// canonical.
-	if n := rs.Len() % 8; n != 0 {
-		liveBitmap[len(liveBitmap)-1] &= 1<<n - 1
-	}
-	e.liveBits = liveBitmap
 
-	// Reconstruct iSet membership from the models: entry j of iSet i carries
-	// the built position it indexes (negative values are unindexed gaps);
-	// only live positions are members — a deleted iSet rule stays in the
-	// immutable model arrays but is masked by the metadata (§3.9).
+	// Reconstruct the iSets from the models: entry j of iSet i carries the
+	// built position it indexes (negative values are unindexed gaps); only
+	// live positions are members — a deleted iSet rule stays in the
+	// immutable model and records but is masked by its iSet's liveness
+	// bitset (§3.9), translated here from the codec's position layout.
 	claimed := make(map[int]bool, rs.Len())
 	for i := range isets {
 		vals := isets[i].model.Values()
@@ -598,10 +591,8 @@ func assembleEngine(opts Options, rs *rules.RuleSet, liveBitmap []byte, isets []
 			}
 			claimed[pos] = true
 			size++
-			if liveBit(e.liveBits, pos) {
-				e.inISet[rs.Rules[pos].ID] = struct{}{}
-			}
 		}
+		e.addISet(isets[i].field, isets[i].model, liveBitmap)
 		e.stats.ISetSizes = append(e.stats.ISetSizes, size)
 		e.stats.ISetFields = append(e.stats.ISetFields, isets[i].field)
 	}
@@ -630,6 +621,27 @@ func assembleEngine(opts Options, rs *rules.RuleSet, liveBitmap []byte, isets []
 	e.refreezeRemainderLocked()
 	e.publishLocked()
 	return e, nil
+}
+
+// liveBitmap returns the codec's position-indexed liveness bitmap (bit
+// pos%8 of byte pos/8). A built rule's bit is clear only when an iSet entry
+// indexes it and that entry is dead: the bits of remainder positions are
+// never read, and are written set, as Build leaves them.
+func (e *Engine) liveBitmap() []byte {
+	n := e.rs.Len()
+	bits := make([]byte, (n+7)/8)
+	for pos := 0; pos < n; pos++ {
+		bits[pos/8] |= 1 << (pos % 8)
+	}
+	for i := range e.isets {
+		is := &e.isets[i]
+		for j, pos := range is.model.Values() {
+			if pos >= 0 && !liveBit(is.live, j) {
+				bits[pos/8] &^= 1 << (pos % 8)
+			}
+		}
+	}
+	return bits
 }
 
 func getString(br *bufio.Reader) (string, error) {

@@ -17,90 +17,50 @@ import (
 // single atomic store; readers holding the old snapshot finish against a
 // consistent view.
 
-// ruleMeta is the per-position metadata of one built rule, kept in a flat
-// array indexed by the rule's position in the build-time rule order. It
-// replaces the posID map on the read path. It never changes after
-// build: liveness is the separate bitset, so a delete copies that instead.
-type ruleMeta struct {
-	id   int
-	prio int32
-}
-
-// liveBit reports whether built rule pos is live in a liveness bitset (bit
-// pos%8 of byte pos/8, the codec's layout).
+// liveBit reports whether bit i of a liveness bitset is set (bit i%8 of
+// byte i/8, the codec's layout).
 //
 //nm:hotpath
-func liveBit(bits []byte, pos int) bool { return bits[pos>>3]&(1<<(pos&7)) != 0 }
+func liveBit(bits []byte, i int) bool { return bits[i>>3]&(1<<(i&7)) != 0 }
 
 // snapshot is one immutable engine state. Everything reachable from it is
-// either never mutated after publication (meta, fieldLo/fieldHi, isets,
-// the frozen remainder and its overlay, adapter tables) or copied before
-// mutation (live). The §3.9 online-update remainder is served by the
-// compiled frozen form plus the update overlay, so lookups never touch the
-// live classifier.
+// either never mutated after publication (the iSets' models, records and
+// liveness bitsets, the frozen remainder and its overlay, adapter tables)
+// or copied before mutation (an iSet's live bitset, and with it the isets
+// slice). The §3.9 online-update remainder is served by the compiled
+// frozen form plus the update overlay, so lookups never touch the live
+// classifier.
 //
 //nm:immutable
 type snapshot struct {
-	numFields int
-	// meta[pos] is the metadata of built rule pos, shared by every snapshot.
-	meta []ruleMeta
-	// live is the liveness bitset of the built rules (see liveBit);
-	// deletions publish a copy with the bit cleared instead of tombstoning
-	// the shared model arrays.
-	live []byte
-	// fieldLo/fieldHi are the rules' field bounds flattened with stride
-	// numFields: rule pos's range in dimension d is
-	// [fieldLo[pos*numFields+d], fieldHi[pos*numFields+d]]. Built once and
-	// shared by every snapshot (build-time matching sets never change; §3.9
-	// modifications move the rule to the remainder).
-	fieldLo []uint32
-	fieldHi []uint32
-	// isets are the trained RQ-RMI indexes; their payloads are positions
-	// into meta and are never rewritten.
+	// isets are the trained RQ-RMI indexes with their rule records.
 	isets []isetIndex
 	// rem is the frozen remainder with its overlay.
 	rem remainderAdapter
 }
 
-// matches reports whether the packet falls inside built rule pos, reading
-// the flat bound arrays directly.
+// candidate validates model entry ent (>= 0) of the iSet against p: the
+// entry's rule must beat bound, be live and match. It returns the rule's
+// ID and priority.
 //
 //nm:hotpath
-func (s *snapshot) matches(pos int, p rules.Packet) bool {
-	base := pos * s.numFields
-	if len(p) < s.numFields {
-		return false
+func (is *isetIndex) candidate(ent int, p rules.Packet, bound int32) (id int, prio int32, ok bool) {
+	prio = is.recs.Prio(ent)
+	if prio >= bound || !liveBit(is.live, ent) || !is.recs.Match(ent, p) {
+		return 0, 0, false
 	}
-	for d := 0; d < s.numFields; d++ {
-		v := p[d]
-		if v < s.fieldLo[base+d] || v > s.fieldHi[base+d] {
-			return false
-		}
-	}
-	return true
+	return is.recs.ID(ent), prio, true
 }
 
-// isetCandidate returns the validated candidate of one iSet under the
-// running priority bound.
+// lookup returns the iSet's validated candidate for p under bound.
 //
 //nm:hotpath
-func (s *snapshot) isetCandidate(is *isetIndex, p rules.Packet, bestPrio int32) (id int, prio int32, ok bool) {
-	entry, found := is.model.LookupEntry(p[is.field])
+func (is *isetIndex) lookup(p rules.Packet, bound int32) (id int, prio int32, ok bool) {
+	ent, found := is.model.LookupEntry(p[is.field])
 	if !found {
 		return 0, 0, false
 	}
-	pos := is.model.Values()[entry]
-	if pos < 0 {
-		return 0, 0, false
-	}
-	m := &s.meta[pos]
-	if m.prio >= bestPrio || !liveBit(s.live, pos) {
-		return 0, 0, false
-	}
-	if !s.matches(pos, p) {
-		return 0, 0, false
-	}
-	return m.id, m.prio, true
+	return is.candidate(ent, p, bound)
 }
 
 // lookup runs the single-core early-termination flow of §4 against this
@@ -110,7 +70,7 @@ func (s *snapshot) isetCandidate(is *isetIndex, p rules.Packet, bestPrio int32) 
 func (s *snapshot) lookup(p rules.Packet, bestPrio int32) int {
 	best := rules.NoMatch
 	for i := range s.isets {
-		if id, prio, ok := s.isetCandidate(&s.isets[i], p, bestPrio); ok {
+		if id, prio, ok := s.isets[i].lookup(p, bestPrio); ok {
 			best, bestPrio = id, prio
 		}
 	}
@@ -153,33 +113,22 @@ func (s *snapshot) isetChunk(block []rules.Packet, keys *[rqrmi.BatchChunk]uint3
 			keys[c] = p[is.field]
 		}
 		is.model.LookupEntryBatch(keys[:n], ents[:n])
-		vals := is.model.Values()
-		for c := range block {
-			ei := ents[c]
-			if ei < 0 {
+		for c, p := range block {
+			if ents[c] < 0 {
 				continue
 			}
-			pos := vals[ei]
-			if pos < 0 {
-				continue
+			if id, prio, ok := is.candidate(int(ents[c]), p, bestPrio[c]); ok {
+				best[c], bestPrio[c] = id, prio
 			}
-			m := &s.meta[pos]
-			if m.prio >= bestPrio[c] || !liveBit(s.live, pos) {
-				continue
-			}
-			if !s.matches(pos, block[c]) {
-				continue
-			}
-			best[c], bestPrio[c] = m.id, m.prio
 		}
 	}
 }
 
 // lookupBatch classifies pkts into out using batched RQ-RMI inference: each
 // iSet's model runs stage-by-stage across a whole chunk of packets
-// (rqrmi.LookupEntryBatch), then candidates are validated against the flat
-// metadata, and finally the remainder walks each packet of the chunk under
-// the best priority found for it. Scratch comes from a pool, so the batch
+// (rqrmi.LookupEntryBatch), then candidates are validated against the
+// iSets' rule records, and finally the remainder walks each packet of the
+// chunk under the best priority found for it. Scratch comes from a pool, so the batch
 // path allocates nothing in steady state.
 //
 //nm:hotpath

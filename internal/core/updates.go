@@ -11,9 +11,9 @@ import (
 // RCU split:
 //
 //   - rule deletions of iSet-indexed rules are served by publishing a
-//     snapshot whose liveness bitset marks the position dead (copy-on-write
-//     of one bit per built rule — the shared RQ-RMI value arrays and the
-//     rule metadata are never mutated);
+//     snapshot whose iSet liveness bitset marks the entry dead (copy-on-write
+//     of one bit per iSet entry — the shared RQ-RMI models and rule
+//     records are never mutated);
 //   - rule additions and matching-set changes always go to the remainder,
 //     which must support fast updates (TupleMerge and RVH do) and is
 //     served to lookups through its frozen form plus the update overlay;
@@ -140,7 +140,7 @@ func (e *Engine) maybeCompactOverlayLocked() {
 }
 
 // Delete removes a rule by ID. Rules indexed by an RQ-RMI are marked dead in
-// a copy of the snapshot's liveness bitset — no retraining and no mutation
+// a copy of their iSet's liveness bitset — no retraining and no mutation
 // of shared model arrays — and remainder rules are deleted from the
 // external classifier directly.
 func (e *Engine) Delete(id int) error {
@@ -159,8 +159,8 @@ func (e *Engine) Delete(id int) error {
 // deleteLocked removes the live rule id and journals it, without
 // publishing.
 func (e *Engine) deleteLocked(id int) error {
-	if _, inModel := e.inISet[id]; inModel {
-		e.clearLiveLocked(e.posID[id])
+	if ent, inModel := e.inISet[id]; inModel {
+		e.clearLiveLocked(ent)
 		delete(e.inISet, id)
 		e.ustats.DeletedFromISets++
 	} else {
@@ -181,14 +181,16 @@ func (e *Engine) deleteLocked(id int) error {
 	return nil
 }
 
-// clearLiveLocked marks built rule pos dead via copy-on-write of the
-// liveness bitset (n/8 bytes): published snapshots keep referencing the old
-// bitset, so concurrent readers never observe a torn write.
-func (e *Engine) clearLiveLocked(pos int) {
-	bits := make([]byte, len(e.liveBits))
-	copy(bits, e.liveBits)
-	bits[pos/8] &^= 1 << (pos % 8)
-	e.liveBits = bits
+// clearLiveLocked marks iSet entry ent dead via copy-on-write of its iSet's
+// liveness bitset (entries/8 bytes) and of the isets slice: published
+// snapshots keep referencing the old ones, so concurrent readers never
+// observe a torn write.
+func (e *Engine) clearLiveLocked(ent isetEntry) {
+	isets := append([]isetIndex(nil), e.isets...)
+	is := &isets[ent.iset]
+	is.live = append([]byte(nil), is.live...)
+	is.live[ent.entry/8] &^= 1 << (ent.entry % 8)
+	e.isets = isets
 }
 
 // removeRemainderRuleLocked swap-removes rule id from the remainder list:

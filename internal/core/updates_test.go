@@ -22,8 +22,9 @@ func TestDeleteFromISetTombstones(t *testing.T) {
 	// Find a rule indexed by an iSet and a packet that matches it.
 	var victim int = -1
 	var pkt rules.Packet
+	posID := rs.IndexByID()
 	for id := range e.inISet {
-		pos := e.posID[id]
+		pos := posID[id]
 		r := &rs.Rules[pos]
 		p := make(rules.Packet, 5)
 		for d, f := range r.Fields {
