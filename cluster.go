@@ -205,11 +205,7 @@ func LoadCluster(dir string, opts ...ClusterOption) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	override, err := tc.remainderOverride()
-	if err != nil {
-		return nil, err
-	}
-	cc, err := core.LoadClusterDir(dir, override)
+	cc, err := core.LoadClusterDir(dir, tc.opts.Remainder)
 	if err != nil {
 		return nil, fmt.Errorf("nuevomatch: loading cluster %s: %w", dir, err)
 	}

@@ -61,6 +61,16 @@ func forEachBackend(t *testing.T, fn func(t *testing.T, name string)) {
 	}
 }
 
+// registeredRemainder resolves a registered remainder backend by name.
+func registeredRemainder(t testing.TB, name string) rules.Builder {
+	t.Helper()
+	b, ok := RemainderBuilderFor(name)
+	if !ok {
+		t.Fatalf("no remainder backend registered as %q", name)
+	}
+	return b
+}
+
 // TestBackendRegistryLists pins the core registry contents: the update
 // backends resolve by name, and names of removed remainders do not.
 func TestBackendRegistryLists(t *testing.T) {
@@ -274,14 +284,14 @@ func TestBackendFrozenEmpty(t *testing.T) {
 // suite parameterized by backend: interleaved inserts and deletes that
 // repeatedly trip overlay compaction, with scalar and batched lookups
 // checked against the linear reference after every burst. Each backend
-// serves as the engine's remainder via Options.RemainderName.
+// serves as the engine's remainder, resolved through the registry.
 func TestBackendOverlayConformance(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, name string) {
 		withCompactThreshold(8, func() {
 			rng := rand.New(rand.NewSource(181))
 			rs := structuredRuleSet(rng, 300)
 			opts := fastOpts()
-			opts.RemainderName = name
+			opts.Remainder = registeredRemainder(t, name)
 			e, err := Build(rs, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -488,67 +488,19 @@ func loadClusterGen(dir string, remainder rules.Builder) (*Cluster, error) {
 		cur, cerr := ClusterCurrentDir(dir)
 		return cerr == nil && cur != gdir
 	}
-	data, err := os.ReadFile(filepath.Join(gdir, ClusterManifestName))
-	if err != nil {
-		if superseded(err) {
-			return nil, fmt.Errorf("%w (manifest %s)", errStaleGeneration, gdir)
-		}
-		return nil, err
-	}
-	m, err := readClusterManifest(data)
+	g, err := readClusterGen(gdir, remainder, superseded)
 	if err != nil {
 		return nil, err
 	}
-
-	// The rules artifact is optional (legacy saves) and quarantine-grade
-	// only: if it is itself unreadable the load proceeds strict.
-	var artRules []rules.Rule
-	artFields := 0
-	if m.Rules != "" {
-		blob, rerr := os.ReadFile(filepath.Join(gdir, m.Rules))
-		if rerr != nil && superseded(rerr) {
-			return nil, fmt.Errorf("%w (rules artifact %s)", errStaleGeneration, gdir)
-		}
-		if rerr == nil {
-			if nf, rs, derr := readClusterRules(blob); derr == nil {
-				artFields, artRules = nf, rs
-			}
-		}
+	c := g.c
+	// The rules artifact is quarantine-grade only: without a readable one
+	// (legacy saves, or a torn artifact) any shard failure fails the load.
+	if len(g.failures) > 0 && g.artRules == nil {
+		f := g.failures[0]
+		return nil, fmt.Errorf("core: loading shard %d (%s): %w", f.shard, f.name, f.err)
 	}
-
-	kind, _ := partitionKindByName(m.Kind)
-	c := &Cluster{
-		part: partitioner{
-			kind:   kind,
-			field:  m.Field,
-			shards: len(m.Shards),
-			cuts:   m.Cuts,
-		},
-		shardsOf: make(map[int]uint64),
-		ruleByID: make(map[int]rules.Rule),
-	}
-	c.engines = make([]*Engine, len(m.Shards))
-	type loadFailure struct {
-		shard int
-		err   error
-	}
-	var failures []loadFailure
-	for s, name := range m.Shards {
-		eng, lerr := readShardFile(filepath.Join(gdir, name), remainder)
-		if lerr != nil {
-			if superseded(lerr) {
-				return nil, fmt.Errorf("%w (shard %d of %s)", errStaleGeneration, s, gdir)
-			}
-			if artRules == nil {
-				return nil, fmt.Errorf("core: loading shard %d (%s): %w", s, name, lerr)
-			}
-			failures = append(failures, loadFailure{shard: s, err: lerr})
-			continue
-		}
-		c.engines[s] = eng
-	}
-	if len(failures) == len(m.Shards) {
-		return nil, fmt.Errorf("core: no loadable shard in %s: shard 0: %w", gdir, failures[0].err)
+	if len(g.failures) == len(c.engines) {
+		return nil, fmt.Errorf("core: no loadable shard in %s: shard 0: %w", gdir, g.failures[0].err)
 	}
 
 	// Stand quarantined shards up on remainder-only fallbacks built from
@@ -563,8 +515,8 @@ func loadClusterGen(dir string, remainder rules.Builder) (*Cluster, error) {
 			break
 		}
 	}
-	for _, f := range failures {
-		fb, berr := buildFallbackShard(&c.part, f.shard, artFields, artRules, fullOpts)
+	for _, f := range g.failures {
+		fb, berr := buildFallbackShard(&c.part, f.shard, g.artFields, g.artRules, fullOpts)
 		if berr != nil {
 			return nil, fmt.Errorf("core: rebuilding shard %d from rules artifact: %w (original load error: %v)", f.shard, berr, f.err)
 		}
@@ -574,7 +526,7 @@ func loadClusterGen(dir string, remainder rules.Builder) (*Cluster, error) {
 		return nil, err
 	}
 	c.finish()
-	for _, f := range failures {
+	for _, f := range g.failures {
 		s := f.shard
 		opts := fullOpts
 		c.quarantineShard(s,
@@ -585,6 +537,85 @@ func loadClusterGen(dir string, remainder rules.Builder) (*Cluster, error) {
 			})
 	}
 	return c, nil
+}
+
+// clusterGen is one generation as readClusterGen read it from disk.
+type clusterGen struct {
+	// c has the manifest's routing restored; c.engines[s] is nil for every
+	// shard in failures. Its replica table is not built yet.
+	c        *Cluster
+	failures []shardFailure
+	// artFields and artRules are the decoded rules artifact; artRules is
+	// nil when the manifest names none or it is unreadable, and artErr
+	// then says why (nil when the manifest names none).
+	artFields int
+	artRules  []rules.Rule
+	artErr    error
+}
+
+// shardFailure is one shard table that did not load.
+type shardFailure struct {
+	shard int
+	name  string
+	err   error
+}
+
+// readClusterGen is the one generation loader, shared by LoadClusterDir and
+// FsckClusterDir: it reads the generation's manifest, its rules artifact
+// and each shard table exactly once. Only an unreadable manifest fails it;
+// shard and artifact failures are returned for the caller to judge.
+// superseded, when non-nil, classifies a missing-file error as the pruning
+// race, which fails the read with errStaleGeneration.
+func readClusterGen(gdir string, remainder rules.Builder, superseded func(error) bool) (*clusterGen, error) {
+	stale := func(err error) bool { return superseded != nil && superseded(err) }
+	data, err := os.ReadFile(filepath.Join(gdir, ClusterManifestName))
+	if err != nil {
+		if stale(err) {
+			return nil, fmt.Errorf("%w (manifest %s)", errStaleGeneration, gdir)
+		}
+		return nil, err
+	}
+	m, err := readClusterManifest(data)
+	if err != nil {
+		return nil, err
+	}
+
+	g := &clusterGen{}
+	if m.Rules != "" {
+		blob, rerr := os.ReadFile(filepath.Join(gdir, m.Rules))
+		if rerr != nil && stale(rerr) {
+			return nil, fmt.Errorf("%w (rules artifact %s)", errStaleGeneration, gdir)
+		}
+		if rerr == nil {
+			g.artFields, g.artRules, rerr = readClusterRules(blob)
+		}
+		g.artErr = rerr
+	}
+
+	kind, _ := partitionKindByName(m.Kind)
+	g.c = &Cluster{
+		part: partitioner{
+			kind:   kind,
+			field:  m.Field,
+			shards: len(m.Shards),
+			cuts:   m.Cuts,
+		},
+		engines:  make([]*Engine, len(m.Shards)),
+		shardsOf: make(map[int]uint64),
+		ruleByID: make(map[int]rules.Rule),
+	}
+	for s, name := range m.Shards {
+		eng, lerr := readShardFile(filepath.Join(gdir, name), remainder)
+		if lerr != nil {
+			if stale(lerr) {
+				return nil, fmt.Errorf("%w (shard %d of %s)", errStaleGeneration, s, gdir)
+			}
+			g.failures = append(g.failures, shardFailure{shard: s, name: name, err: lerr})
+			continue
+		}
+		g.c.engines[s] = eng
+	}
+	return g, nil
 }
 
 // readShardFile loads one shard table, with a fault point ahead of the

@@ -28,7 +28,7 @@ func TestConformanceMatrix(t *testing.T) {
 			for _, mode := range []string{"static", "churn"} {
 				t.Run(prof.Name+"/"+backend+"/"+mode, func(t *testing.T) {
 					opts := fastOpts()
-					opts.RemainderName = backend
+					opts.Remainder = registeredRemainder(t, backend)
 					d := newChurnDriver(t, prof, size, pool, opts, 100+int64(pi))
 					st := d.e.Stats()
 					if st.RemainderBackend != backend {

@@ -49,15 +49,12 @@ type Options struct {
 	// updates. Online updates additionally need rules.Updatable (TupleMerge
 	// and RVH are; the static decision-tree baselines are not).
 	Remainder rules.Builder
-	// RemainderName selects the remainder by registry name instead of by
-	// builder, taking precedence over Remainder when non-empty.
-	RemainderName string
 	// ISetFields optionally restricts which fields may carry iSets.
 	ISetFields []int
 }
 
 // withDefaults fills zero values. Negative sentinels are preserved so that
-// Rebuild (which re-applies defaults to the stored options) keeps their
+// a retrain (which re-applies defaults to the stored options) keeps their
 // meaning; Build resolves them at the point of use.
 func (o Options) withDefaults() Options {
 	if o.MaxISets == 0 {
@@ -145,6 +142,9 @@ type Engine struct {
 	rs    *rules.RuleSet // built rules; positions are stable
 	live  map[int]bool   // every live rule ID (built + inserted); deletes remove the key
 	isets []isetIndex
+	// isetsPrivate reports that isets and its liveness bitsets are a copy
+	// no snapshot holds yet (clearLiveLocked); publishLocked resets it.
+	isetsPrivate bool
 	// inISet maps each live rule ID indexed by an iSet to its entry.
 	inISet map[int]isetEntry
 
@@ -176,60 +176,115 @@ type Engine struct {
 
 var _ rules.BoundedClassifier = (*Engine)(nil)
 
-// Build trains a NuevoMatch engine over rs.
+// Build trains a NuevoMatch engine over rs: it partitions the rules into
+// iSets (§3.6), trains one RQ-RMI per iSet, and hands the models and the
+// remainder to assembleEngine, the constructor ReadEngine uses too.
 func Build(rs *rules.RuleSet, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	if err := rs.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		opts:   opts,
-		rs:     rs.Clone(),
-		live:   make(map[int]bool, rs.Len()),
-		inISet: make(map[int]isetEntry, rs.Len()),
-	}
-	for i := range e.rs.Rules {
-		e.live[e.rs.Rules[i].ID] = true
-	}
+	rs = rs.Clone()
 
 	var part *iset.Partition
 	if opts.maxISets() == 0 {
 		// The sentinel means "no iSets at all" (iset.Build would treat a
 		// zero MaxISets as unlimited); skip partitioning entirely.
-		part = &iset.Partition{Remainder: allPositions(e.rs.Len())}
+		part = &iset.Partition{Remainder: allPositions(rs.Len())}
 	} else {
-		part = iset.Build(e.rs, iset.Options{
+		part = iset.Build(rs, iset.Options{
 			MaxISets:    opts.maxISets(),
 			MinCoverage: opts.minCoverage(),
 			Fields:      opts.ISetFields,
 		})
 	}
 
+	var stats BuildStats
+	isets := make([]isetIndex, 0, len(part.ISets))
 	t0 := time.Now()
 	for i, is := range part.ISets {
 		entries := make([]rqrmi.Entry, len(is.Positions))
 		for j, pos := range is.Positions {
-			entries[j] = rqrmi.Entry{Range: e.rs.Rules[pos].Fields[is.Field], Value: pos}
+			entries[j] = rqrmi.Entry{Range: rs.Rules[pos].Fields[is.Field], Value: pos}
 		}
 		model, ts, err := rqrmi.Train(entries, opts.RQRMI)
 		if err != nil {
 			return nil, fmt.Errorf("core: training iSet %d (field %d): %w", i, is.Field, err)
 		}
-		e.addISet(is.Field, model, nil)
-		e.stats.Train = append(e.stats.Train, *ts)
-		e.stats.ISetSizes = append(e.stats.ISetSizes, len(is.Positions))
-		e.stats.ISetFields = append(e.stats.ISetFields, is.Field)
-		if ts.MaxError > e.stats.MaxSearchDistance {
-			e.stats.MaxSearchDistance = ts.MaxError
-		}
+		isets = append(isets, isetIndex{field: is.Field, model: model})
+		stats.Train = append(stats.Train, *ts)
+		stats.MaxSearchDistance = max(stats.MaxSearchDistance, ts.MaxError)
 	}
-	e.stats.TrainingTime = time.Since(t0)
-	e.stats.Coverage = part.Coverage()
-	e.stats.RemainderSize = len(part.Remainder)
+	stats.TrainingTime = time.Since(t0)
+	stats.Coverage = part.Coverage()
+	stats.RemainderSize = len(part.Remainder)
+	return assembleEngine(opts, rs, nil, isets, rs.Subset(part.Remainder), UpdateStats{}, stats)
+}
 
-	e.remainderRules = e.rs.Subset(part.Remainder)
-	e.remPos = e.remainderRules.IndexByID()
-	rem, err := buildRemainder(opts, e.remainderRules)
+// assembleEngine is the one engine constructor: Build calls it with freshly
+// trained models, ReadEngine with decoded ones. It builds the full
+// write-side and read-side state from the parts — the iSets over the
+// built rules rs (liveBitmap is the codec's position-indexed liveness, nil
+// when every built rule is live), the remainder classifier over
+// remainderRules — and publishes the first snapshot. stats carries what
+// only the caller knows (training, coverage); the per-iSet sizes and
+// fields and the remainder backend are filled in here. Every
+// cross-reference a lookup will follow is validated.
+func assembleEngine(opts Options, rs *rules.RuleSet, liveBitmap []byte, isets []isetIndex,
+	remainderRules *rules.RuleSet, ustats UpdateStats, stats BuildStats) (*Engine, error) {
+
+	e := &Engine{
+		opts:   opts,
+		rs:     rs,
+		live:   make(map[int]bool, rs.Len()),
+		inISet: make(map[int]isetEntry, rs.Len()),
+		stats:  stats,
+		ustats: ustats,
+	}
+
+	// Reconstruct the iSets from the models: entry j of iSet i carries the
+	// built position it indexes (negative values are unindexed gaps); only
+	// live positions are members — a deleted iSet rule stays in the
+	// immutable model and records but is masked by its iSet's liveness
+	// bitset (§3.9), translated here from the codec's position layout.
+	claimed := make([]bool, rs.Len())
+	for i := range isets {
+		vals := isets[i].model.Values()
+		size := 0
+		for j, pos := range vals {
+			if pos < 0 {
+				continue
+			}
+			if pos >= len(rs.Rules) {
+				return nil, fmt.Errorf("core: iSet %d entry %d position %d out of range (%d built rules)", i, j, pos, len(rs.Rules))
+			}
+			if claimed[pos] {
+				return nil, fmt.Errorf("core: built rule position %d indexed by two iSets", pos)
+			}
+			claimed[pos] = true
+			size++
+		}
+		e.addISet(isets[i].field, isets[i].model, liveBitmap)
+		e.stats.ISetSizes = append(e.stats.ISetSizes, size)
+		e.stats.ISetFields = append(e.stats.ISetFields, isets[i].field)
+	}
+
+	// Live rules are exactly the iSet members plus the remainder rules; the
+	// partitions must be disjoint.
+	for id := range e.inISet {
+		e.live[id] = true
+	}
+	for i := range remainderRules.Rules {
+		r := &remainderRules.Rules[i]
+		if _, inModel := e.inISet[r.ID]; inModel {
+			return nil, fmt.Errorf("core: rule %d is in both an iSet and the remainder", r.ID)
+		}
+		e.live[r.ID] = true
+	}
+
+	e.remainderRules = remainderRules
+	e.remPos = remainderRules.IndexByID()
+	rem, err := buildRemainder(opts, remainderRules)
 	if err != nil {
 		return nil, fmt.Errorf("core: building remainder: %w", err)
 	}
@@ -240,18 +295,11 @@ func Build(rs *rules.RuleSet, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// buildRemainder builds the remainder classifier over rs: through the
-// registry when opts.RemainderName is set, with opts.Remainder otherwise.
-// The product must be rules.Freezable, the only form the snapshot serves.
+// buildRemainder builds the remainder classifier over rs with
+// opts.Remainder. The product must be rules.Freezable, the only form the
+// snapshot serves.
 func buildRemainder(opts Options, rs *rules.RuleSet) (rules.Freezable, error) {
-	b := opts.Remainder
-	if name := opts.RemainderName; name != "" {
-		var ok bool
-		if b, ok = RemainderBuilderFor(name); !ok {
-			return nil, fmt.Errorf("unknown remainder classifier %q (register it with RegisterRemainder)", name)
-		}
-	}
-	c, err := b(rs)
+	c, err := opts.Remainder(rs)
 	if err != nil {
 		return nil, err
 	}
@@ -316,6 +364,7 @@ func (e *Engine) publishLocked() {
 		rem:   newRemainderAdapter(e.remFrozen, e.remOverlay),
 	}
 	e.publishes++
+	e.isetsPrivate = false
 	e.snap.Store(s)
 }
 

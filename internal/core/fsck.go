@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-
-	"nuevomatch/internal/rules"
 )
 
 // FsckGeneration is one generation's verification result.
@@ -60,95 +58,34 @@ func (r *FsckReport) Healthy() bool {
 	return false
 }
 
-// verifyClusterGen fully verifies one generation directory by loading it
-// strictly: every shard through ReadEngine (CRC + full decode), the rules
-// artifact when referenced, and the replication invariant. The loaded
-// cluster is closed again; fsck only wants the verdict.
+// verifyClusterGen fully verifies one generation directory through the
+// loader LoadClusterDir uses, with no quarantine fallback: the manifest,
+// every shard through ReadEngine (CRC + full decode), the rules artifact
+// when referenced, and then the replication invariant, which a swapped or
+// stale shard file breaks while passing its own CRC.
 func verifyClusterGen(gdir string) FsckGeneration {
 	g := FsckGeneration{Name: filepath.Base(gdir)}
-	data, err := os.ReadFile(filepath.Join(gdir, ClusterManifestName))
+	gen, err := readClusterGen(gdir, nil, nil)
 	if err != nil {
 		g.Problems = append(g.Problems, fmt.Sprintf("manifest: %v", err))
 		return g
 	}
-	m, err := readClusterManifest(data)
-	if err != nil {
-		g.Problems = append(g.Problems, fmt.Sprintf("manifest: %v", err))
-		return g
+	g.Shards = len(gen.c.engines)
+	for _, f := range gen.failures {
+		g.Problems = append(g.Problems, fmt.Sprintf("shard %d (%s): %v", f.shard, f.name, f.err))
 	}
-	g.Shards = len(m.Shards)
-	for s, name := range m.Shards {
-		f, err := os.Open(filepath.Join(gdir, name))
-		if err != nil {
-			g.Problems = append(g.Problems, fmt.Sprintf("shard %d: %v", s, err))
-			continue
-		}
-		_, err = ReadEngine(f, nil)
-		f.Close()
-		if err != nil {
-			g.Problems = append(g.Problems, fmt.Sprintf("shard %d (%s): %v", s, name, err))
-		}
-	}
-	if m.Rules != "" {
-		blob, err := os.ReadFile(filepath.Join(gdir, m.Rules))
-		if err != nil {
-			g.Problems = append(g.Problems, fmt.Sprintf("rules artifact: %v", err))
-		} else if _, _, err := readClusterRules(blob); err != nil {
-			g.Problems = append(g.Problems, fmt.Sprintf("rules artifact: %v", err))
-		}
+	if gen.artErr != nil {
+		g.Problems = append(g.Problems, fmt.Sprintf("rules artifact: %v", gen.artErr))
 	}
 	if len(g.Problems) > 0 {
 		return g
 	}
-	// Shape checks passed; now the expensive cross-shard one: a strict
-	// in-memory load re-verifies the replication invariant (a swapped or
-	// stale shard file passes its own CRC but breaks routing).
-	c, err := loadClusterGenStrict(gdir)
-	if err != nil {
+	if err := gen.c.rebuildReplicaTable(); err != nil {
 		g.Problems = append(g.Problems, err.Error())
 		return g
 	}
-	c.Close()
 	g.Intact = true
 	return g
-}
-
-// loadClusterGenStrict loads one generation directory with no quarantine
-// fallback: any shard problem is an error. Used by fsck, which must judge
-// the generation exactly as saved.
-func loadClusterGenStrict(gdir string) (*Cluster, error) {
-	data, err := os.ReadFile(filepath.Join(gdir, ClusterManifestName))
-	if err != nil {
-		return nil, err
-	}
-	m, err := readClusterManifest(data)
-	if err != nil {
-		return nil, err
-	}
-	kind, _ := partitionKindByName(m.Kind)
-	c := &Cluster{
-		part:     partitioner{kind: kind, field: m.Field, shards: len(m.Shards), cuts: m.Cuts},
-		shardsOf: make(map[int]uint64),
-		ruleByID: make(map[int]rules.Rule),
-	}
-	c.engines = make([]*Engine, len(m.Shards))
-	for s, name := range m.Shards {
-		f, err := os.Open(filepath.Join(gdir, name))
-		if err != nil {
-			return nil, err
-		}
-		eng, err := ReadEngine(f, nil)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("core: loading shard %d (%s): %w", s, name, err)
-		}
-		c.engines[s] = eng
-	}
-	if err := c.rebuildReplicaTable(); err != nil {
-		return nil, err
-	}
-	c.finish()
-	return c, nil
 }
 
 // FsckClusterDir verifies a saved cluster directory and, in repair mode,

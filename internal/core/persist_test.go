@@ -278,8 +278,10 @@ func TestClusterSaveKillPointSweep(t *testing.T) {
 }
 
 // TestFsckRepairScenarios covers corruption fsck must handle beyond torn
-// saves: a dangling CURRENT, a malformed CURRENT, and a corrupted shard
-// inside the newest generation (roll back to the predecessor).
+// saves: a dangling CURRENT, a malformed CURRENT, and, inside the newest
+// generation, two CRC-valid shard files swapped, one torn shard beside an
+// intact rules artifact, and corrupted shards (each rolls back to the
+// predecessor).
 func TestFsckRepairScenarios(t *testing.T) {
 	prof, err := classbench.ProfileByName("fw1")
 	if err != nil {
@@ -318,10 +320,80 @@ func TestFsckRepairScenarios(t *testing.T) {
 		t.Fatalf("after malformed-CURRENT repair: %d mismatches", mm)
 	}
 
-	// Corrupt every shard of the newest generation: repair must roll back
-	// to the predecessor (mirror1's snapshot).
+	// rollsBack requires fsck to report the newest generation broken and
+	// repair to roll back to the predecessor (mirror1's snapshot), then
+	// saves the live cluster as a fresh newest generation.
+	rollsBack := func(what string) {
+		t.Helper()
+		rep, err := FsckClusterDir(dir, false)
+		if err != nil {
+			t.Fatalf("%s: fsck: %v", what, err)
+		}
+		for _, g := range rep.Generations {
+			if g.Name == rep.CurrentBefore && g.Intact {
+				t.Fatalf("%s: fsck reports the newest generation intact: %+v", what, g)
+			}
+		}
+		if rep.Healthy() {
+			t.Fatalf("%s: fsck reports healthy: %+v", what, rep)
+		}
+		if rep, err = FsckClusterDir(dir, true); err != nil {
+			t.Fatalf("%s: rollback repair: %v", what, err)
+		}
+		if !rep.RepairedCurrent {
+			t.Fatalf("%s: repair did not move CURRENT: %+v", what, rep)
+		}
+		if mm := snapshotMismatches(t, dir, mirror1, pkts); mm != 0 {
+			t.Fatalf("%s: %d mismatches against predecessor snapshot", what, mm)
+		}
+		if err := d.c.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Two shard files swapped: each passes its own CRC and decodes, but
+	// the replicas no longer sit where the manifest routes them.
 	gdir, err := ClusterCurrentDir(dir)
 	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := filepath.Join(gdir, shardFileName(0)), filepath.Join(gdir, shardFileName(1))
+	blobA, errA := os.ReadFile(a)
+	blobB, errB := os.ReadFile(b)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if err := os.WriteFile(a, blobB, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(b, blobA, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rollsBack("swapped shards")
+
+	// One torn shard while the rules artifact is intact: a load survives it
+	// on a quarantined fallback, but the generation is not intact.
+	if gdir, err = ClusterCurrentDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(gdir, shardFileName(0))
+	blob, err := os.ReadFile(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(torn, blob[:len(blob)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lc, err := LoadClusterDir(dir, nil)
+	if err != nil {
+		t.Fatalf("torn shard beside an intact rules artifact did not load: %v", err)
+	}
+	lc.Close()
+	rollsBack("torn shard")
+
+	// Corrupt every shard of the newest generation: repair must roll back
+	// to the predecessor (mirror1's snapshot).
+	if gdir, err = ClusterCurrentDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < d.c.NumShards(); s++ {

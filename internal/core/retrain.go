@@ -10,11 +10,11 @@ import (
 )
 
 // This file implements in-place retraining: the §3.9 periodic retrain as a
-// hot swap on a live engine instead of the build-a-new-engine-and-repoint
-// dance of Rebuild. Retrain trains a replacement engine on a background
-// goroutine-friendly path (no locks held during training), journals every
-// update that arrives while training runs, replays the journal onto the
-// replacement, and publishes the retrained state through the engine's
+// hot swap on a live engine, so callers never re-point to a new engine.
+// Retrain trains a replacement engine on a background goroutine-friendly
+// path (no locks held during training), journals every update that
+// arrives while training runs, replays the journal onto the replacement,
+// and publishes the retrained state through the engine's
 // existing RCU snapshot pointer — so callers keep their *Engine, lookups
 // stay zero-lock/zero-alloc throughout, and no reader ever observes a torn
 // or stale state: before the single atomic store they see the drifted
@@ -135,10 +135,7 @@ func (e *Engine) retrain(opts *Options) (RetrainStats, error) {
 	// Every journaled op was a valid transition on the serving engine and
 	// the replacement was built from the exact rule set the journal starts
 	// at, so replay cannot fail unless the engine's own bookkeeping is
-	// broken; in that case keep serving the old state. The whole journal is
-	// folded in as one bulk pass — O(journal + remainder), not O(journal ×
-	// remainder) of per-op copy-on-write — because fresh is still private:
-	// no snapshot of it is ever observed until adoptLocked publishes.
+	// broken; in that case keep serving the old state.
 	if err := faultinject.Hit(faultinject.PointRetrainReplay); err != nil {
 		return st, fmt.Errorf("core: retrain replay: %w", err)
 	}
@@ -153,144 +150,33 @@ func (e *Engine) retrain(opts *Options) (RetrainStats, error) {
 	return st, nil
 }
 
-// netJournalEntry is the folded effect of every journaled op touching one
-// rule ID: at most one deletion of a rule that pre-exists in the replacement
-// build, and at most one surviving insert (later ops on the same ID collapse
-// earlier ones — an insert followed by a delete vanishes, a delete followed
-// by an insert is the §3.9 modify).
-type netJournalEntry struct {
-	id       int
-	delBuilt bool
-	insert   bool
-	rule     rules.Rule
-}
-
-// replayJournal folds the journal into the freshly built replacement engine
-// as one bulk pass instead of one public update per op. fresh is private to
-// the retrain (it never escaped Build), so its state is edited directly and
-// exactly one snapshot publication happens — in adoptLocked, after the
-// journal is in. The drift counters count gross journal ops, matching what
-// per-op replay recorded: every replayed op is real post-build drift and
-// keeps counting toward the next retrain trigger.
+// replayJournal applies the journal to the freshly built replacement
+// engine: each op runs the apply step its serving update ran
+// (applyInsertLocked / applyDeleteLocked), in journal order, and the
+// remainder is re-frozen once at the end. fresh is private to the retrain
+// (it never escaped Build), so no op touches the overlay or publishes:
+// exactly one snapshot publication happens, in adoptLocked, after the
+// journal is in. The whole replay costs O(journal + remainder), not the
+// O(journal × remainder) of per-op copy-on-write. The drift counters count
+// every journaled op, as the serving engine did: each is real post-build
+// drift and keeps counting toward the next retrain trigger. Journaled rules
+// were cloned, so the replacement may retain them.
 func replayJournal(fresh *Engine, journal []journalOp) error {
 	if len(journal) == 0 {
 		return nil
 	}
-
-	// Pass 1: net effect per rule ID, in first-touch order.
-	net := make(map[int]*netJournalEntry, len(journal))
-	order := make([]*netJournalEntry, 0, len(journal))
-	touch := func(id int) *netJournalEntry {
-		n := net[id]
-		if n == nil {
-			n = &netJournalEntry{id: id}
-			net[id] = n
-			order = append(order, n)
-		}
-		return n
-	}
-	var grossIns, grossDelISet, grossDelRem int
 	for _, op := range journal {
-		if !op.del {
-			n := touch(op.rule.ID)
-			if n.insert {
-				return fmt.Errorf("journal inserts rule %d twice", op.rule.ID)
-			}
-			n.insert = true
-			n.rule = op.rule
-			grossIns++
-			continue
-		}
-		n := touch(op.id)
-		switch {
-		case n.insert:
-			// Deleting a journal-inserted rule: both ops vanish. The insert
-			// would have landed in the remainder, so that is where the
-			// serving engine counted the delete.
-			n.insert = false
-			n.rule = rules.Rule{}
-			grossDelRem++
-		case n.delBuilt:
-			return fmt.Errorf("journal deletes rule %d twice", op.id)
-		default:
-			n.delBuilt = true
-			if _, inModel := fresh.inISet[op.id]; inModel {
-				grossDelISet++
-			} else {
-				grossDelRem++
-			}
-		}
-	}
-
-	// Pass 2: deletions of pre-existing rules. iSet deletions clear the
-	// liveness bit — in place, legal only because no snapshot of fresh is
-	// live — and remainder deletions drop out of the classifier and the
-	// remainder rule list in one filter.
-	remDel := make(map[int]bool)
-	for _, n := range order {
-		if !n.delBuilt {
-			continue
-		}
-		if !fresh.live[n.id] {
-			return fmt.Errorf("journal deletes unknown rule %d", n.id)
-		}
-		if ent, inModel := fresh.inISet[n.id]; inModel {
-			fresh.isets[ent.iset].live[ent.entry/8] &^= 1 << (ent.entry % 8)
-			delete(fresh.inISet, n.id)
+		var err error
+		if op.del {
+			_, err = fresh.applyDeleteLocked(op.id)
 		} else {
-			remDel[n.id] = true
+			err = fresh.applyInsertLocked(op.rule)
 		}
-		delete(fresh.live, n.id)
-	}
-	var upd rules.Updatable
-	if len(remDel) > 0 || grossIns > 0 {
-		var ok bool
-		if upd, ok = fresh.remainder.(rules.Updatable); !ok {
-			return fmt.Errorf("remainder classifier %q does not support updates", fresh.remainder.Name())
-		}
-	}
-	if len(remDel) > 0 {
-		for id := range remDel {
-			if err := upd.Delete(id); err != nil {
-				return err
-			}
-		}
-		kept := fresh.remainderRules.Rules[:0]
-		for i := range fresh.remainderRules.Rules {
-			if !remDel[fresh.remainderRules.Rules[i].ID] {
-				kept = append(kept, fresh.remainderRules.Rules[i])
-			}
-		}
-		fresh.remainderRules.Rules = kept
-	}
-
-	// Pass 3: surviving inserts, in journal order. Rules were cloned when
-	// journaled, so they are safe to retain.
-	for _, n := range order {
-		if !n.insert {
-			continue
-		}
-		r := n.rule
-		if len(r.Fields) != fresh.rs.NumFields {
-			return fmt.Errorf("journaled rule %d has %d fields, engine expects %d", r.ID, len(r.Fields), fresh.rs.NumFields)
-		}
-		if fresh.live[r.ID] {
-			return fmt.Errorf("journaled rule %d duplicates a live ID", r.ID)
-		}
-		if err := upd.Insert(r); err != nil {
+		if err != nil {
 			return err
 		}
-		fresh.remainderRules.Add(r)
-		fresh.live[r.ID] = true
 	}
-
-	// One bookkeeping rebuild instead of per-op maintenance: the ID index
-	// and the frozen remainder are reconstructed once.
-	fresh.remPos = fresh.remainderRules.IndexByID()
 	fresh.refreezeRemainderLocked()
-	fresh.ustats.Inserted += grossIns
-	fresh.ustats.DeletedFromISets += grossDelISet
-	fresh.ustats.DeletedFromRemainder += grossDelRem
 	return nil
 }
 

@@ -97,9 +97,10 @@ var (
 )
 
 // RegisterRemainder makes a remainder builder resolvable by name: by
-// Options.RemainderName at build time, and by ReadEngine, which resolves the
-// remainder Name() that Engine.WriteTo records back to a builder to
-// reconstruct the classifier from the serialized remainder rules. The
+// ReadEngine, which resolves the remainder Name() that Engine.WriteTo
+// records back to a builder to reconstruct the classifier from the
+// serialized remainder rules, and by the public package's
+// WithRemainder(name). The
 // builder's product must be rules.Freezable. The core package registers
 // "tuplemerge" and "rvh"; the public nuevomatch package registers the
 // decision-tree baselines. Registering an existing name replaces it.
@@ -552,75 +553,6 @@ func readEngineBody(data []byte, remainder rules.Builder) (*Engine, error) {
 	}
 
 	return assembleEngine(opts, rs, bitmap, isets, remainderRules, ustats, stats)
-}
-
-// assembleEngine rebuilds the full write-side and read-side state from the
-// decoded parts, mirroring what Build leaves behind after training — with
-// the training itself already done. Every cross-reference a lookup will
-// follow is validated here.
-func assembleEngine(opts Options, rs *rules.RuleSet, liveBitmap []byte, isets []isetIndex,
-	remainderRules *rules.RuleSet, ustats UpdateStats, stats BuildStats) (*Engine, error) {
-
-	e := &Engine{
-		opts:   opts,
-		rs:     rs,
-		live:   make(map[int]bool, rs.Len()),
-		inISet: make(map[int]isetEntry, rs.Len()),
-		stats:  stats,
-		ustats: ustats,
-	}
-
-	// Reconstruct the iSets from the models: entry j of iSet i carries the
-	// built position it indexes (negative values are unindexed gaps); only
-	// live positions are members — a deleted iSet rule stays in the
-	// immutable model and records but is masked by its iSet's liveness
-	// bitset (§3.9), translated here from the codec's position layout.
-	claimed := make(map[int]bool, rs.Len())
-	for i := range isets {
-		vals := isets[i].model.Values()
-		size := 0
-		for j, pos := range vals {
-			if pos < 0 {
-				continue
-			}
-			if pos >= len(rs.Rules) {
-				return nil, fmt.Errorf("core: iSet %d entry %d position %d out of range (%d built rules)", i, j, pos, len(rs.Rules))
-			}
-			if claimed[pos] {
-				return nil, fmt.Errorf("core: built rule position %d indexed by two iSets", pos)
-			}
-			claimed[pos] = true
-			size++
-		}
-		e.addISet(isets[i].field, isets[i].model, liveBitmap)
-		e.stats.ISetSizes = append(e.stats.ISetSizes, size)
-		e.stats.ISetFields = append(e.stats.ISetFields, isets[i].field)
-	}
-
-	// Live rules are exactly the iSet members plus the remainder rules; the
-	// partitions must be disjoint.
-	for id := range e.inISet {
-		e.live[id] = true
-	}
-	for i := range remainderRules.Rules {
-		r := &remainderRules.Rules[i]
-		if _, inModel := e.inISet[r.ID]; inModel {
-			return nil, fmt.Errorf("core: rule %d is in both an iSet and the remainder", r.ID)
-		}
-		e.live[r.ID] = true
-	}
-
-	e.remainderRules = remainderRules
-	e.remPos = remainderRules.IndexByID()
-	rem, err := buildRemainder(opts, remainderRules)
-	if err != nil {
-		return nil, fmt.Errorf("core: rebuilding remainder: %w", err)
-	}
-	e.remainder = rem
-	e.stats.RemainderBackend = rem.Name()
-	e.refreezeRemainderLocked()
-	e.publishLocked()
-	return e, nil
 }
 
 // liveBitmap returns the codec's position-indexed liveness bitmap (bit

@@ -29,7 +29,7 @@ func TestTableRoundTripRVH(t *testing.T) {
 					t.Fatal(err)
 				}
 				opts := fastOpts()
-				opts.RemainderName = "rvh"
+				opts.Remainder = registeredRemainder(t, "rvh")
 				d := newChurnDriver(t, prof, 200, 160, opts, 8300+int64(pi))
 				if got := d.e.Stats().RemainderBackend; got != "rvh" {
 					t.Fatalf("built RemainderBackend = %q, want rvh", got)
@@ -119,7 +119,7 @@ func TestEngineCodecGoldenRVH(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := fastOpts()
-	opts.RemainderName = "rvh"
+	opts.Remainder = registeredRemainder(t, "rvh")
 	d := newChurnDriver(t, prof, 240, 120, opts, 4242)
 	for d.inserts+d.deletes < 80 {
 		d.step()

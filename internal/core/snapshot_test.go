@@ -260,9 +260,9 @@ func TestOptionsSentinels(t *testing.T) {
 		}
 	}
 
-	// Rebuild must preserve the sentinel (withDefaults must not turn the
+	// A rebuild must preserve the sentinel (withDefaults must not turn the
 	// resolved value back into a default).
-	e2, err := e.Rebuild()
+	e2, err := Build(e.LiveRuleSet(), e.opts)
 	if err != nil {
 		t.Fatal(err)
 	}

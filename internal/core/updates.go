@@ -18,8 +18,8 @@ import (
 //     which must support fast updates (TupleMerge and RVH do) and is
 //     served to lookups through its frozen form plus the update overlay;
 //   - the remainder therefore grows over time, degrading throughput, and
-//     Rebuild retrains the models over the current live rules — the paper's
-//     periodic retraining.
+//     Retrain (retrain.go) retrains the models over the current live rules
+//     — the paper's periodic retraining.
 //
 // Every update publishes a fresh snapshot with a single atomic store.
 // Readers that loaded the previous snapshot finish against a consistent
@@ -64,17 +64,24 @@ func (e *Engine) updateStatsLocked() UpdateStats {
 	return s
 }
 
+// Every update runs in two steps:
+//
+//   - the apply step checks it (unknown ID, duplicate ID, field count and
+//     ranges) and changes the write-side state: the live map, the iSet
+//     liveness bit or the remainder classifier with remainderRules/remPos,
+//     and the drift counters;
+//   - the delta step carries the change to readers: the overlay's
+//     withAdd/withDelete, its compaction, and the retrain journal.
+//
+// Insert, Delete and Modify run both steps and publish. Retrain's replay
+// (retrain.go) runs the apply step alone on its private replacement and
+// re-freezes the remainder once.
+
 // Insert adds a new rule. Per §3.9 additions always go to the remainder;
 // the remainder classifier must implement rules.Updatable.
 func (e *Engine) Insert(r rules.Rule) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.checkRuleLocked(r); err != nil {
-		return err
-	}
-	if e.live[r.ID] {
-		return fmt.Errorf("core: duplicate rule ID %d", r.ID)
-	}
 	if err := e.insertLocked(r); err != nil {
 		return err
 	}
@@ -105,11 +112,27 @@ func (e *Engine) updatableLocked() (rules.Updatable, error) {
 	return upd, nil
 }
 
-// insertLocked adds the checked, non-duplicate rule r to the remainder and
-// journals it, without publishing. It costs O(rule): the rule is appended
-// to the remainder list and the overlay, and the ID table waits for the
-// next compaction.
+// insertLocked runs an insert's apply and delta steps, without publishing.
 func (e *Engine) insertLocked(r rules.Rule) error {
+	if err := e.applyInsertLocked(r); err != nil {
+		return err
+	}
+	e.remOverlay = e.remOverlay.withAdd(r)
+	e.maybeCompactOverlayLocked()
+	e.journalInsertLocked(r)
+	return nil
+}
+
+// applyInsertLocked is an insert's apply step: the checked, non-duplicate
+// rule r goes to the remainder classifier and the remainder list. It costs
+// O(rule); the ID table waits for the next freeze.
+func (e *Engine) applyInsertLocked(r rules.Rule) error {
+	if err := e.checkRuleLocked(r); err != nil {
+		return err
+	}
+	if e.live[r.ID] {
+		return fmt.Errorf("core: duplicate rule ID %d", r.ID)
+	}
 	upd, err := e.updatableLocked()
 	if err != nil {
 		return err
@@ -119,11 +142,8 @@ func (e *Engine) insertLocked(r rules.Rule) error {
 	}
 	e.remPos[r.ID] = len(e.remainderRules.Rules)
 	e.remainderRules.Add(r)
-	e.remOverlay = e.remOverlay.withAdd(r)
-	e.maybeCompactOverlayLocked()
 	e.live[r.ID] = true
 	e.ustats.Inserted++
-	e.journalInsertLocked(r)
 	return nil
 }
 
@@ -146,9 +166,6 @@ func (e *Engine) maybeCompactOverlayLocked() {
 func (e *Engine) Delete(id int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.live[id] {
-		return fmt.Errorf("core: no live rule with ID %d", id)
-	}
 	if err := e.deleteLocked(id); err != nil {
 		return err
 	}
@@ -156,9 +173,27 @@ func (e *Engine) Delete(id int) error {
 	return nil
 }
 
-// deleteLocked removes the live rule id and journals it, without
-// publishing.
+// deleteLocked runs a delete's apply and delta steps, without publishing.
+// An iSet rule needs no delta: its cleared liveness bit is the change.
 func (e *Engine) deleteLocked(id int) error {
+	fromRemainder, err := e.applyDeleteLocked(id)
+	if err != nil {
+		return err
+	}
+	if fromRemainder {
+		e.remOverlay = e.remOverlay.withDelete(id)
+		e.maybeCompactOverlayLocked()
+	}
+	e.journalDeleteLocked(id)
+	return nil
+}
+
+// applyDeleteLocked is a delete's apply step. It reports whether the rule
+// was a remainder rule.
+func (e *Engine) applyDeleteLocked(id int) (fromRemainder bool, err error) {
+	if !e.live[id] {
+		return false, fmt.Errorf("core: no live rule with ID %d", id)
+	}
 	if ent, inModel := e.inISet[id]; inModel {
 		e.clearLiveLocked(ent)
 		delete(e.inISet, id)
@@ -166,31 +201,39 @@ func (e *Engine) deleteLocked(id int) error {
 	} else {
 		upd, err := e.updatableLocked()
 		if err != nil {
-			return err
+			return false, err
 		}
 		if err := upd.Delete(id); err != nil {
-			return err
+			return false, err
 		}
 		e.removeRemainderRuleLocked(id)
-		e.remOverlay = e.remOverlay.withDelete(id)
-		e.maybeCompactOverlayLocked()
 		e.ustats.DeletedFromRemainder++
+		fromRemainder = true
 	}
 	delete(e.live, id)
-	e.journalDeleteLocked(id)
-	return nil
+	return fromRemainder, nil
 }
 
-// clearLiveLocked marks iSet entry ent dead via copy-on-write of its iSet's
-// liveness bitset (entries/8 bytes) and of the isets slice: published
-// snapshots keep referencing the old ones, so concurrent readers never
-// observe a torn write.
+// clearLiveLocked marks iSet entry ent dead. Published snapshots share the
+// isets slice and its liveness bitsets, so the first clear after a publish
+// copies them (entries/8 bytes in all) and later clears before the next
+// publish — a Modify's, or a whole Retrain replay's — write that copy.
+// Concurrent readers therefore never observe a torn write.
 func (e *Engine) clearLiveLocked(ent isetEntry) {
-	isets := append([]isetIndex(nil), e.isets...)
-	is := &isets[ent.iset]
-	is.live = append([]byte(nil), is.live...)
-	is.live[ent.entry/8] &^= 1 << (ent.entry % 8)
-	e.isets = isets
+	if !e.isetsPrivate {
+		n := 0
+		for i := range e.isets {
+			n += len(e.isets[i].live)
+		}
+		bits := make([]byte, 0, n)
+		isets := append([]isetIndex(nil), e.isets...)
+		for i := range isets {
+			bits = append(bits, isets[i].live...)
+			isets[i].live = bits[len(bits)-len(isets[i].live):]
+		}
+		e.isets, e.isetsPrivate = isets, true
+	}
+	e.isets[ent.iset].live[ent.entry/8] &^= 1 << (ent.entry % 8)
 }
 
 // removeRemainderRuleLocked swap-removes rule id from the remainder list:
@@ -238,7 +281,7 @@ func (e *Engine) Modify(r rules.Rule) error {
 }
 
 // LiveRuleSet snapshots the current live rules (build survivors plus
-// inserts), the input Rebuild retrains on. The remainder's copy of a rule
+// inserts), the input Retrain trains on. The remainder's copy of a rule
 // is authoritative: a built rule that was modified (delete + reinsert,
 // §3.9) lives on in the remainder with its *new* matching set, and the
 // stale build-time copy must not resurface.
@@ -269,13 +312,6 @@ func (e *Engine) liveRuleSetLocked() *rules.RuleSet {
 		}
 	}
 	return out
-}
-
-// Rebuild retrains the engine over the current live rules — the periodic
-// retraining of Figure 7 — and returns the fresh engine. The receiver
-// remains valid and serves lookups while the replacement trains.
-func (e *Engine) Rebuild() (*Engine, error) {
-	return Build(e.LiveRuleSet(), e.opts)
 }
 
 // SustainedUpdateModel evaluates the analytic update model of §3.9: after u

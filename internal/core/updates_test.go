@@ -178,8 +178,9 @@ func TestUpdateBurstAgainstReference(t *testing.T) {
 		}
 	}
 
-	// Rebuild and re-verify: the retrained engine serves the same set.
-	e2, err := e.Rebuild()
+	// Rebuild over the live rules and re-verify: the retrained engine serves
+	// the same set.
+	e2, err := Build(e.LiveRuleSet(), e.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestSustainedUpdateModel(t *testing.T) {
 func TestLiveRuleSetUsesModifiedFields(t *testing.T) {
 	// Regression: a built rule modified via §3.9 (delete + reinsert into
 	// the remainder) must appear in LiveRuleSet with its NEW matching set,
-	// or Rebuild resurrects the stale one.
+	// or a rebuild over it resurrects the stale one.
 	rng := rand.New(rand.NewSource(16))
 	rs := structuredRuleSet(rng, 120)
 	e, err := Build(rs, fastOpts())
@@ -259,7 +260,7 @@ func TestLiveRuleSetUsesModifiedFields(t *testing.T) {
 		t.Fatal("modified rule missing from LiveRuleSet")
 	}
 	// The rebuilt engine must agree with the drifted one everywhere.
-	fresh, err := e.Rebuild()
+	fresh, err := Build(e.LiveRuleSet(), e.opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestLookupPathsZeroAlloc(t *testing.T) {
 	for _, backend := range updateBackends {
 		t.Run(backend, func(t *testing.T) {
 			opts := fastOpts()
-			opts.RemainderName = backend
+			opts.Remainder = registeredRemainder(t, backend)
 			lookupPathsZeroAlloc(t, opts, true)
 		})
 	}

@@ -1,6 +1,7 @@
 package rqrmi
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -121,19 +122,23 @@ func newRespSet(width int) *respSet {
 	return &respSet{ivs: make([][]kinterval, width)}
 }
 
-// add registers [lo, hi] as part of submodel b's responsibility, merging
-// with the previous interval when contiguous. Intervals arrive in
-// nondecreasing order of lo for each bucket because propagate sweeps keys
-// left to right.
+// add registers [lo, hi] as part of submodel b's responsibility, keeping
+// the bucket's intervals sorted and merging contiguous ones. One parent's
+// propagate sweeps its keys left to right, but a bucket collects from every
+// parent of the stage in turn, and a parent whose output falls as keys rise
+// hands a later parent the lower keys: the interval then lands before the
+// bucket's last one, not after it.
 func (r *respSet) add(b int, lo, hi uint64) {
 	s := r.ivs[b]
-	if n := len(s); n > 0 && s[n-1].hi+1 >= lo {
-		if hi > s[n-1].hi {
-			s[n-1].hi = hi
-		}
-		return
+	i := sort.Search(len(s), func(i int) bool { return s[i].hi+1 >= lo })
+	j := i
+	for j < len(s) && s[j].lo <= hi+1 {
+		j++
 	}
-	r.ivs[b] = append(s, kinterval{lo, hi})
+	if i < j {
+		lo, hi = min(lo, s[i].lo), max(hi, s[j-1].hi)
+	}
+	r.ivs[b] = slices.Replace(s, i, j, kinterval{lo, hi})
 }
 
 // propagate computes the next stage's responsibilities from a trained

@@ -3,7 +3,14 @@ package rqrmi
 import (
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
+
+	"nuevomatch/internal/rules"
 )
 
 // randomSubmodel builds a submodel with 8 hidden units of randomized weights
@@ -137,6 +144,56 @@ func TestRespSetMerging(t *testing.T) {
 	}
 	if len(rs.ivs[1]) != 1 || rs.ivs[1][0] != (kinterval{5, 5}) {
 		t.Errorf("bucket 1 intervals = %v", rs.ivs[1])
+	}
+}
+
+// TestRespSetOutOfOrder: a bucket fed by several parents receives
+// intervals out of key order when a parent's output falls as keys rise;
+// every interval must survive, sorted, with contiguous ones merged.
+func TestRespSetOutOfOrder(t *testing.T) {
+	rs := newRespSet(1)
+	rs.add(0, 174916, maxKey)
+	rs.add(0, 61369, 174915) // contiguous with the next: merges
+	rs.add(0, 100, 200)      // before both, separate
+	rs.add(0, 201, 300)      // contiguous with the previous
+	rs.add(0, 10, 20)        // first
+	want := []kinterval{{10, 20}, {100, 300}, {61369, maxKey}}
+	if !slices.Equal(rs.ivs[0], want) {
+		t.Errorf("intervals = %v, want %v", rs.ivs[0], want)
+	}
+}
+
+// TestTrainDecreasingRoot trains on the dst-port keys of an iSet that an
+// engine built after a long churn (acl1, 2000 rules, 123k random updates).
+// Its root submodel is a near-constant whose output falls as keys rise, so
+// a leaf collects responsibility from two stage-1 parents in reverse key
+// order. When add dropped the second interval, the leaf's error bound
+// missed 125 of the entries and lookups of them failed.
+func TestTrainDecreasingRoot(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "drifted_dstport_keys.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []Entry
+	for i, f := range strings.Fields(string(data)) {
+		k, err := strconv.ParseUint(f, 10, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, Entry{Range: rules.Range{Lo: uint32(k), Hi: uint32(k)}, Value: i})
+	}
+	m, _, err := Train(entries, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := 0
+	for i, e := range entries {
+		if j, ok := m.LookupEntry(e.Range.Lo); !ok || j != i {
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d keys not found", bad, len(entries))
 	}
 }
 

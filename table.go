@@ -40,10 +40,13 @@ var ErrClosed = errors.New("nuevomatch: table is closed")
 type Option func(*tableConfig)
 
 type tableConfig struct {
-	opts        core.Options
-	autopilot   *AutopilotPolicy
-	persistPath string
-	err         error
+	opts core.Options
+	// remainderName is WithRemainder's backend name; applyOptions resolves
+	// it into opts.Remainder through the registry.
+	remainderName string
+	autopilot     *AutopilotPolicy
+	persistPath   string
+	err           error
 }
 
 // WithMaxISets caps the number of RQ-RMI iSet models trained. The paper
@@ -88,13 +91,11 @@ func WithRemainder(r any) Option {
 	return func(c *tableConfig) {
 		switch v := r.(type) {
 		case Builder:
-			c.opts.Remainder = v
-			c.opts.RemainderName = ""
+			c.opts.Remainder, c.remainderName = v, ""
 		case func(*RuleSet) (Classifier, error):
-			c.opts.Remainder = v
-			c.opts.RemainderName = ""
+			c.opts.Remainder, c.remainderName = v, ""
 		case string:
-			c.opts.RemainderName = v
+			c.remainderName = v
 		default:
 			c.err = fmt.Errorf("nuevomatch: WithRemainder wants a Builder or a backend name string, got %T", r)
 		}
@@ -142,22 +143,14 @@ func applyOptions(opts []Option) (tableConfig, error) {
 	if c.persistPath != "" && c.autopilot == nil {
 		return c, errors.New("nuevomatch: WithAutopilotPersist requires WithAutopilot")
 	}
-	return c, nil
-}
-
-// remainderOverride resolves the configured remainder into the builder
-// override a load path passes to core.ReadEngine: an explicit builder or a
-// registry-resolved name overrides the artifact's recorded backend, while
-// no remainder option at all returns nil so the recorded backend is used.
-func (c *tableConfig) remainderOverride() (Builder, error) {
-	if name := c.opts.RemainderName; name != "" {
+	if name := c.remainderName; name != "" {
 		b, ok := core.RemainderBuilderFor(name)
 		if !ok {
-			return nil, fmt.Errorf("nuevomatch: unknown remainder classifier %q (register it with RegisterRemainder)", name)
+			return c, fmt.Errorf("nuevomatch: unknown remainder classifier %q (register it with RegisterRemainder)", name)
 		}
-		return b, nil
+		c.opts.Remainder = b
 	}
-	return c.opts.Remainder, nil
+	return c, nil
 }
 
 // finish wraps a built or loaded engine into a Table and wires the
@@ -218,11 +211,9 @@ func Load(r io.Reader, opts ...Option) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	override, err := c.remainderOverride()
-	if err != nil {
-		return nil, err
-	}
-	eng, err := core.ReadEngine(r, override)
+	// A remainder option overrides the artifact's recorded backend; none
+	// (nil) keeps the recorded one.
+	eng, err := core.ReadEngine(r, c.opts.Remainder)
 	if err != nil {
 		return nil, err
 	}
