@@ -1,6 +1,7 @@
 package nuevomatch_test
 
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for three design choices of the lookup path (this
+// list is their only record):
 //
 //   - early termination (§4): remainder queried under the iSets' best
 //     priority vs unconditionally;
@@ -35,7 +36,7 @@ func BenchmarkAblationEarlyTermination(b *testing.B) {
 func BenchmarkAblationModelVsBinarySearch(b *testing.B) {
 	f := getFixture(b)
 	m := f.model
-	entries := m.Entries()
+	entries := f.entries
 	los := make([]uint32, len(entries))
 	his := make([]uint32, len(entries))
 	for i, e := range entries {

@@ -2,9 +2,10 @@ package nuevomatch_test
 
 // Benchmarks regenerating the measured quantity behind every table and
 // figure of the paper's evaluation (§5). Each benchmark name carries the
-// experiment id; EXPERIMENTS.md maps them to the corresponding table or
-// figure and records paper-vs-measured shapes. The pretty-printed versions
-// of the full tables come from `go run ./cmd/benchrunner`.
+// experiment id of the table or figure it measures; docs/BENCHMARKS.md
+// ("benchrunner: the paper's experiments and the batch gate") lists the
+// ids. The pretty-printed versions of the full tables, with the paper's
+// figures in their headers, come from `go run ./cmd/benchrunner`.
 //
 // Scale knobs (defaults keep `go test -bench=.` minutes-scale):
 //
@@ -62,6 +63,8 @@ type fixture struct {
 	stNM  *core.Engine
 	kern  *rqrmi.Kernel
 	model *rqrmi.Model
+	// entries are model's sorted entries, for the non-learned baseline.
+	entries []rqrmi.Entry
 }
 
 var (
@@ -122,6 +125,7 @@ func getFixture(b *testing.B) *fixture {
 			panic(err)
 		}
 		f.model = model
+		f.entries = entries
 		fix = f
 	})
 	return fix
@@ -140,26 +144,6 @@ func BenchmarkTable1SubmodelInference(b *testing.B) {
 	b.Run("serial1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sink += k.Eval1(keys[i&4095])
-		}
-	})
-	b.Run("batch4", func(b *testing.B) {
-		var in [4]uint32
-		var out [4]float64
-		for i := 0; i < b.N; i += 4 {
-			j := i & 4092
-			copy(in[:], keys[j:j+4])
-			k.Eval4(&in, &out)
-			sink += out[0]
-		}
-	})
-	b.Run("batch8", func(b *testing.B) {
-		var in [8]uint32
-		var out [8]float64
-		for i := 0; i < b.N; i += 8 {
-			j := i & 4088
-			copy(in[:], keys[j:j+8])
-			k.Eval8(&in, &out)
-			sink += out[0]
 		}
 	})
 	var sink32 float32

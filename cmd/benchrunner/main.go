@@ -8,8 +8,13 @@
 //	benchrunner -exp fig9 -cpuprofile cpu.pprof         # profile the hot paths
 //
 // Every experiment id maps to one table or figure of the evaluation
-// section; see EXPERIMENTS.md for the index and DESIGN.md for the
-// methodology substitutions. The batch experiment measures batched against
+// section; docs/BENCHMARKS.md ("benchrunner") lists them with the knobs.
+// Where the reproduction departs from the paper's method, the package that
+// departs says why: direct fitting instead of gradient training
+// (internal/rqrmi), the Go and AVX2 kernels instead of SSE/AVX intrinsics
+// (internal/rqrmi/kernel.go), the synthetic ClassBench profiles
+// (internal/classbench) and the NeuroCuts policy search
+// (internal/classifiers/neurocuts). The batch experiment measures batched against
 // per-packet lookup on the first profile over alternating pairs; with
 // -minbatch R it exits 1 when the median pair ratio is below R. The
 // performance record itself is nmbench (bench/).

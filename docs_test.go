@@ -146,4 +146,56 @@ func TestDocLinks(t *testing.T) {
 	if checked == 0 {
 		t.Error("no relative links found at all — checker likely broken")
 	}
+	checkGoCommentDocs(t)
+}
+
+// mdName matches a markdown file name cited in prose: a word, then ".md".
+var mdName = regexp.MustCompile(`\b[A-Za-z0-9_]+\.md\b`)
+
+// checkGoCommentDocs fails on any markdown file cited in a Go comment that
+// exists neither at the repository root, nor under docs/, nor beside the
+// citing file (a nested module keeps its own notes).
+func checkGoCommentDocs(t *testing.T) {
+	t.Helper()
+	cited := 0
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, name := range mdName.FindAllString(cg.Text(), -1) {
+				cited++
+				found := false
+				for _, dir := range []string{".", "docs", filepath.Dir(path)} {
+					if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+						found = true
+						break
+					}
+				}
+				if !found {
+					t.Errorf("%s cites %s, which is not at the root, under docs/ or beside it", path, name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cited == 0 {
+		t.Error("no markdown file cited in any Go comment — checker likely broken")
+	}
 }

@@ -211,9 +211,11 @@ func (r *Runner) engine(baseline, key string, rs *rules.RuleSet) (*core.Engine, 
 
 // --- Table 1 -----------------------------------------------------------
 
-// Table1 reproduces the vectorization table: per-lookup submodel inference
-// time for batch widths 1, 4, and 8 (Go analogue of Serial/SSE/AVX; see
-// DESIGN.md substitutions).
+// Table1 reproduces the vectorization table with the kernels that serve
+// lookups: per-key submodel inference time for the float64 scalar
+// reference (Serial), the pure-Go float32 batch kernel (4 lanes per pass)
+// and the AVX2 assembly (8 lanes; NaN on hosts without it). Go has no vector
+// intrinsics, so the AVX2 row is the only true SIMD row (rqrmi/kernel.go).
 func (r *Runner) Table1() error {
 	w := r.cfg.W
 	fmt.Fprintln(w, "Table 1: submodel inference time vs batch width (paper: Serial 126ns, SSE 62ns, AVX 49ns)")
@@ -238,53 +240,29 @@ func (r *Runner) Table1() error {
 		}
 		return len(keys)
 	})
-	var in4 [4]uint32
-	var out4 [4]float64
-	batch4 := measure(func() int {
-		for i := 0; i+4 <= len(keys); i += 4 {
-			copy(in4[:], keys[i:i+4])
-			k.Eval4(&in4, &out4)
-			sink += out4[0]
-		}
-		return len(keys)
-	})
 	var in8 [8]uint32
-	var out8 [8]float64
-	batch8 := measure(func() int {
-		for i := 0; i+8 <= len(keys); i += 8 {
-			copy(in8[:], keys[i:i+8])
-			k.Eval8(&in8, &out8)
-			sink += out8[0]
-		}
-		return len(keys)
-	})
-	// Ablation rows for the single-precision kernel of §4: the same 8-wide
-	// batching in float32 (pure Go), and the hand-written AVX2 assembly —
-	// the row that actually matches the paper's AVX measurement.
-	var out8f [8]float32
+	var out8 [8]float32
 	var sink32 float32
-	batch8f32 := measure(func() int {
-		for i := 0; i+8 <= len(keys); i += 8 {
-			copy(in8[:], keys[i:i+8])
-			k.Eval8F32(&in8, &out8f, false)
-			sink32 += out8f[0]
-		}
-		return len(keys)
-	})
-	batch8asm := math.NaN()
-	if rqrmi.HasAsmKernel() {
-		batch8asm = measure(func() int {
+	batchF32 := func(useAsm bool) func() int {
+		return func() int {
 			for i := 0; i+8 <= len(keys); i += 8 {
 				copy(in8[:], keys[i:i+8])
-				k.Eval8F32(&in8, &out8f, true)
-				sink32 += out8f[0]
+				k.Eval8F32(&in8, &out8, useAsm)
+				sink32 += out8[0]
 			}
 			return len(keys)
-		})
+		}
 	}
-	fmt.Fprintf(w, "  Batch width (floats/pass)  Serial(1)  Batch(4)  Batch(8)  Batch(8,f32)  AVX2(8,f32)\n")
-	fmt.Fprintf(w, "  Inference Time (ns)        %9.1f  %8.1f  %8.1f  %12.1f  %11.1f   (sink %g)\n",
-		serial, batch4, batch8, batch8f32, batch8asm, sink/1e18+float64(sink32)/1e18)
+	goF32 := measure(batchF32(false))
+	avx2 := math.NaN()
+	if rqrmi.HasAsmKernel() {
+		avx2 = measure(batchF32(true))
+	}
+	fmt.Fprintf(w, "  %-14s %5s %8s\n", "Kernel", "Lanes", "ns/key")
+	fmt.Fprintf(w, "  %-14s %5d %8.1f\n", "Serial (f64)", 1, serial)
+	fmt.Fprintf(w, "  %-14s %5d %8.1f\n", "Go (f32)", 4, goF32)
+	fmt.Fprintf(w, "  %-14s %5d %8.1f\n", "AVX2 (f32)", 8, avx2)
+	fmt.Fprintf(w, "  (sink %g)\n", sink/1e18+float64(sink32)/1e18)
 	return nil
 }
 

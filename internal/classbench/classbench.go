@@ -6,7 +6,8 @@
 //
 // ClassBench itself expands vendor seed files that are not redistributable
 // here; this generator is engineered to reproduce the properties the
-// NuevoMatch evaluation depends on (see DESIGN.md):
+// NuevoMatch evaluation depends on, listed here because no other document
+// specifies them:
 //
 //   - a small "core" of broad, overlap-heavy rules (short prefixes, port
 //     wildcards) whose absolute size grows only slowly with the rule count,

@@ -7,9 +7,12 @@
 // over node features selects actions, candidate policies are sampled and
 // hill-climbed, each is evaluated by building a tree and measuring the same
 // objective NeuroCuts optimizes (memory footprint and expected walk depth),
-// and the best policy builds the final tree. See DESIGN.md for why the
-// substitution preserves the classification-time behaviour the NuevoMatch
-// evaluation measures.
+// and the best policy builds the final tree. The substitution preserves the
+// classification-time behaviour the NuevoMatch evaluation measures: a
+// lookup walks an ordinary decision tree whatever search chose its cuts,
+// so its cost depends on the tree's depth, fan-out and leaf sizes, which
+// the search optimizes under the same objective, not on how the policy was
+// found.
 package neurocuts
 
 import (

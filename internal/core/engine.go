@@ -140,12 +140,12 @@ type Engine struct {
 	//nm:lockscope
 	mu    sync.Mutex
 	rs    *rules.RuleSet // built rules; positions are stable
-	live  map[int]bool   // every live rule ID (built + inserted); deletes remove the key
 	isets []isetIndex
 	// isetsPrivate reports that isets and its liveness bitsets are a copy
 	// no snapshot holds yet (clearLiveLocked); publishLocked resets it.
 	isetsPrivate bool
-	// inISet maps each live rule ID indexed by an iSet to its entry.
+	// inISet maps each live rule ID indexed by an iSet to its entry; its
+	// keys and remPos's are the live rules, two disjoint sets.
 	inISet map[int]isetEntry
 
 	remainder      rules.Freezable
@@ -236,7 +236,6 @@ func assembleEngine(opts Options, rs *rules.RuleSet, liveBitmap []byte, isets []
 	e := &Engine{
 		opts:   opts,
 		rs:     rs,
-		live:   make(map[int]bool, rs.Len()),
 		inISet: make(map[int]isetEntry, rs.Len()),
 		stats:  stats,
 		ustats: ustats,
@@ -271,15 +270,11 @@ func assembleEngine(opts Options, rs *rules.RuleSet, liveBitmap []byte, isets []
 
 	// Live rules are exactly the iSet members plus the remainder rules; the
 	// partitions must be disjoint.
-	for id := range e.inISet {
-		e.live[id] = true
-	}
 	for i := range remainderRules.Rules {
 		r := &remainderRules.Rules[i]
 		if _, inModel := e.inISet[r.ID]; inModel {
 			return nil, fmt.Errorf("core: rule %d is in both an iSet and the remainder", r.ID)
 		}
-		e.live[r.ID] = true
 	}
 
 	e.remainderRules = remainderRules

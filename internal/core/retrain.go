@@ -108,8 +108,8 @@ func (e *Engine) retrain(opts *Options) (RetrainStats, error) {
 	}
 	e.retraining = true
 	live := e.liveRuleSetLocked()
-	st.RulesBefore = len(e.live)
-	st.CoverageBefore = 1 - e.updateStatsLocked().RemainderFraction
+	us := e.updateStatsLocked()
+	st.RulesBefore, st.CoverageBefore = us.LiveRules, 1-us.RemainderFraction
 	if opts == nil {
 		o := e.opts
 		opts = &o
@@ -145,8 +145,8 @@ func (e *Engine) retrain(opts *Options) (RetrainStats, error) {
 	st.Replayed = len(journal)
 	e.adoptLocked(fresh)
 	st.SwapTime = time.Since(t1)
-	st.RulesAfter = len(e.live)
-	st.CoverageAfter = 1 - e.updateStatsLocked().RemainderFraction
+	us = e.updateStatsLocked()
+	st.RulesAfter, st.CoverageAfter = us.LiveRules, 1-us.RemainderFraction
 	return st, nil
 }
 
@@ -186,7 +186,6 @@ func replayJournal(fresh *Engine, journal []journalOp) error {
 func (e *Engine) adoptLocked(f *Engine) {
 	e.opts = f.opts
 	e.rs = f.rs
-	e.live = f.live
 	e.isets = f.isets
 	e.inISet = f.inISet
 	e.remainder = f.remainder

@@ -54,7 +54,7 @@ func (e *Engine) Updates() UpdateStats {
 
 func (e *Engine) updateStatsLocked() UpdateStats {
 	s := e.ustats
-	s.LiveRules = len(e.live)
+	s.LiveRules = len(e.inISet) + len(e.remPos)
 	// Every inISet entry is live: deletions remove the entry (Delete's iSet
 	// branch), so the covered count is the map's size — O(1), which matters
 	// because the autopilot polls Updates() under the write lock.
@@ -64,11 +64,19 @@ func (e *Engine) updateStatsLocked() UpdateStats {
 	return s
 }
 
+// isLiveLocked reports whether id is a live rule: an iSet member or a
+// remainder rule, two disjoint sets.
+func (e *Engine) isLiveLocked(id int) bool {
+	_, inISet := e.inISet[id]
+	_, inRemainder := e.remPos[id]
+	return inISet || inRemainder
+}
+
 // Every update runs in two steps:
 //
 //   - the apply step checks it (unknown ID, duplicate ID, field count and
-//     ranges) and changes the write-side state: the live map, the iSet
-//     liveness bit or the remainder classifier with remainderRules/remPos,
+//     ranges) and changes the write-side state: the iSet liveness bit
+//     with inISet, or the remainder classifier with remainderRules/remPos,
 //     and the drift counters;
 //   - the delta step carries the change to readers: the overlay's
 //     withAdd/withDelete, its compaction, and the retrain journal.
@@ -130,7 +138,7 @@ func (e *Engine) applyInsertLocked(r rules.Rule) error {
 	if err := e.checkRuleLocked(r); err != nil {
 		return err
 	}
-	if e.live[r.ID] {
+	if e.isLiveLocked(r.ID) {
 		return fmt.Errorf("core: duplicate rule ID %d", r.ID)
 	}
 	upd, err := e.updatableLocked()
@@ -142,7 +150,6 @@ func (e *Engine) applyInsertLocked(r rules.Rule) error {
 	}
 	e.remPos[r.ID] = len(e.remainderRules.Rules)
 	e.remainderRules.Add(r)
-	e.live[r.ID] = true
 	e.ustats.Inserted++
 	return nil
 }
@@ -191,7 +198,7 @@ func (e *Engine) deleteLocked(id int) error {
 // applyDeleteLocked is a delete's apply step. It reports whether the rule
 // was a remainder rule.
 func (e *Engine) applyDeleteLocked(id int) (fromRemainder bool, err error) {
-	if !e.live[id] {
+	if !e.isLiveLocked(id) {
 		return false, fmt.Errorf("core: no live rule with ID %d", id)
 	}
 	if ent, inModel := e.inISet[id]; inModel {
@@ -210,7 +217,6 @@ func (e *Engine) applyDeleteLocked(id int) (fromRemainder bool, err error) {
 		e.ustats.DeletedFromRemainder++
 		fromRemainder = true
 	}
-	delete(e.live, id)
 	return fromRemainder, nil
 }
 
@@ -263,7 +269,7 @@ func (e *Engine) removeRemainderRuleLocked(id int) {
 func (e *Engine) Modify(r rules.Rule) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.live[r.ID] {
+	if !e.isLiveLocked(r.ID) {
 		return fmt.Errorf("core: no live rule with ID %d", r.ID)
 	}
 	if err := e.checkRuleLocked(r); err != nil {
@@ -281,10 +287,11 @@ func (e *Engine) Modify(r rules.Rule) error {
 }
 
 // LiveRuleSet snapshots the current live rules (build survivors plus
-// inserts), the input Retrain trains on. The remainder's copy of a rule
-// is authoritative: a built rule that was modified (delete + reinsert,
-// §3.9) lives on in the remainder with its *new* matching set, and the
-// stale build-time copy must not resurface.
+// inserts), the input Retrain trains on: every remainder rule, then the
+// built rules that still have an iSet entry, in built order. A built rule
+// that was modified (delete + reinsert, §3.9) lives on in the remainder
+// with its *new* matching set; its stale build-time copy has no iSet entry
+// and does not resurface.
 func (e *Engine) LiveRuleSet() *rules.RuleSet {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -293,19 +300,13 @@ func (e *Engine) LiveRuleSet() *rules.RuleSet {
 
 func (e *Engine) liveRuleSetLocked() *rules.RuleSet {
 	out := rules.NewRuleSet(e.rs.NumFields)
-	inRemainder := make(map[int]bool, e.remainderRules.Len())
 	for i := range e.remainderRules.Rules {
-		id := e.remainderRules.Rules[i].ID
-		inRemainder[id] = true
-		if e.live[id] {
-			r := e.remainderRules.Rules[i]
-			r.Fields = append([]rules.Range(nil), r.Fields...)
-			out.Add(r)
-		}
+		r := e.remainderRules.Rules[i]
+		r.Fields = append([]rules.Range(nil), r.Fields...)
+		out.Add(r)
 	}
 	for i := range e.rs.Rules {
-		id := e.rs.Rules[i].ID
-		if e.live[id] && !inRemainder[id] {
+		if _, ok := e.inISet[e.rs.Rules[i].ID]; ok {
 			r := e.rs.Rules[i]
 			r.Fields = append([]rules.Range(nil), r.Fields...)
 			out.Add(r)

@@ -40,7 +40,7 @@ func (m *Model) lookupEntryBatchF32(keys []uint32, out []int32, asm bool) {
 	var cnt [maxGroupWidth + 1]int32
 	f := m.flat32
 	last := len(m.stages) - 1
-	nEntries := len(m.entries)
+	nEntries := len(m.los)
 	maxIdx := int32(nEntries - 1)
 	for off := 0; off < len(keys); off += BatchChunk {
 		nIn := len(keys) - off
@@ -85,9 +85,10 @@ func (m *Model) lookupEntryBatchF32(keys []uint32, out []int32, asm bool) {
 						js[c] = quantize32(y[c], fw, outW32)
 					}
 				}
-			case width <= maxGroupWidth:
+			default:
 				// Counting-sort keys by owning submodel so each group runs
 				// the kernel with one parameter set; scatter results back.
+				// flatten32 admits no stage wider than maxGroupWidth.
 				for j := 0; j <= width; j++ {
 					cnt[j] = 0
 				}
@@ -118,20 +119,6 @@ func (m *Model) lookupEntryBatchF32(keys []uint32, out []int32, asm bool) {
 				} else {
 					for c := 0; c < n; c++ {
 						js[order[c]] = quantize32(yg[c], fw, outW32)
-					}
-				}
-			default:
-				// Degenerately wide stage (hand-built models): scalar lanes
-				// through the Go kernel, still bit-identical to vector lanes.
-				var xa, ya [1]float32
-				for c := 0; c < n; c++ {
-					xa[0] = x[c]
-					f.evalBlockGo(int(f.off[s])+int(js[c]), xa[:], ya[:])
-					q := quantize32(ya[0], fw, outW32)
-					if isLeaf {
-						preds[c] = q
-					} else {
-						js[c] = q
 					}
 				}
 			}

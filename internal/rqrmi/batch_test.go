@@ -59,7 +59,10 @@ func probeKeys(rng *rand.Rand, entries []Entry, n int) []uint32 {
 }
 
 // checkF32Kernels runs m's float32 batched path under every available
-// kernel and demands it equal ref.LookupEntry key for key.
+// kernel and demands it equal ref.LookupEntry key for key. Besides the
+// whole key slice it runs the tails of one key and of one key less and more
+// than a chunk, so a batch that ends inside, just short of or just past a
+// chunk is covered.
 func checkF32Kernels(t *testing.T, m, ref *Model, keys []uint32) {
 	t.Helper()
 	if m.flat32 == nil {
@@ -68,18 +71,28 @@ func checkF32Kernels(t *testing.T, m, ref *Model, keys []uint32) {
 	want := scalarEntries(ref, keys)
 	out := make([]int32, len(keys))
 	for _, asm := range batchKernels() {
-		m.lookupEntryBatchF32(keys, out, asm)
-		for i, k := range keys {
-			if out[i] != want[i] {
-				t.Fatalf("asm=%v key %d: batch %d, scalar %d", asm, k, out[i], want[i])
+		for _, n := range []int{1, BatchChunk - 1, BatchChunk + 1, len(keys)} {
+			n = min(n, len(keys))
+			ks, ws := keys[len(keys)-n:], want[len(keys)-n:]
+			for i := range out {
+				out[i] = -2
+			}
+			m.lookupEntryBatchF32(ks, out, asm)
+			for i, k := range ks {
+				if out[i] != ws[i] {
+					t.Fatalf("asm=%v batch of %d, key %d: batch %d, scalar %d", asm, n, k, out[i], ws[i])
+				}
 			}
 		}
 	}
 }
 
+// TestLookupEntryBatchMatchesScalar covers the stage shapes training
+// produces: [1,1] at one entry, [1,4] at 7 and 100, [1,4,16] at 2,000 and
+// [1,4,128] at 20,000, the shape the benchmark's iSets train.
 func TestLookupEntryBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for _, n := range []int{1, 7, 100, 2000} {
+	for _, n := range []int{1, 7, 100, 2000, 20000} {
 		entries := randomEntries(rng, n)
 		m, _, err := Train(entries, Config{})
 		if err != nil {
@@ -153,6 +166,30 @@ func TestLookupEntryBatchWithoutFloat32Form(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLookupEntryBatchWideStage trains a model whose second stage is wider
+// than maxGroupWidth, which only a custom config produces, and checks that
+// LookupEntryBatch still equals LookupEntry key for key.
+func TestLookupEntryBatchWideStage(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	entries := randomEntries(rng, 2000)
+	m, _, err := Train(entries, Config{StageWidths: []int{1, 1024}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.widths; len(got) != 2 || got[1] != 1024 {
+		t.Fatalf("stage widths %v, want [1 1024]", got)
+	}
+	keys := probeKeys(rng, entries, 2048)
+	want := scalarEntries(m, keys)
+	out := make([]int32, len(keys))
+	m.LookupEntryBatch(keys, out)
+	for i, k := range keys {
+		if out[i] != want[i] {
+			t.Fatalf("key %d: batch %d, scalar %d", k, out[i], want[i])
+		}
 	}
 }
 

@@ -2,14 +2,15 @@ package rqrmi
 
 import "math/rand"
 
-// This file provides the standalone inference micro-kernels behind the
-// Table 1 reproduction. The paper accelerates submodel inference with SIMD
-// (SSE processes 4 floats per instruction, AVX 8). Go has no vector
-// intrinsics, so the experiment is reproduced with batched kernels that
-// evaluate 4 or 8 keys per pass with the per-unit coefficients hoisted out
-// of the inner loop — exposing the same data parallelism to the CPU's
-// out-of-order core and amortizing loop overhead, which is the effect the
-// table demonstrates (see DESIGN.md, substitutions).
+// This file provides the standalone inference kernel behind the Table 1
+// reproduction. The paper accelerates submodel inference with SIMD (SSE
+// processes 4 floats per instruction, AVX 8). Table 1 here times the
+// kernels that serve lookups, on one submodel with the paper's 8 hidden
+// units: Eval1 is the float64 scalar reference (the "Serial" row), and
+// Eval8F32 runs the float32 batch kernel of §4 either in its pure-Go form,
+// which evaluates 4 lanes per pass in named locals, or as the AVX2
+// assembly, 8 lanes per instruction. Go has no vector intrinsics, so the
+// assembly row is the only true SIMD row; hosts without AVX2 have none.
 
 // Kernel is one submodel evaluated outside a model, for benchmarking.
 type Kernel struct {
@@ -42,112 +43,15 @@ func (k *Kernel) Eval1(key uint32) float64 {
 	return k.s.evalX(float64(key) * scale)
 }
 
-// Eval4 evaluates four keys per pass (the "SSE(4)" analogue).
-func (k *Kernel) Eval4(keys *[4]uint32, out *[4]float64) {
-	var x0, x1, x2, x3 float64
-	x0 = float64(keys[0]) * scale
-	x1 = float64(keys[1]) * scale
-	x2 = float64(keys[2]) * scale
-	x3 = float64(keys[3]) * scale
-	s := &k.s
-	y0, y1, y2, y3 := s.b2, s.b2, s.b2, s.b2
-	for u, w := range s.w1 {
-		b := s.b1[u]
-		v := s.w2[u]
-		if z := x0*w + b; z > 0 {
-			y0 += v * z
-		}
-		if z := x1*w + b; z > 0 {
-			y1 += v * z
-		}
-		if z := x2*w + b; z > 0 {
-			y2 += v * z
-		}
-		if z := x3*w + b; z > 0 {
-			y3 += v * z
-		}
-	}
-	out[0] = clamp01(y0)
-	out[1] = clamp01(y1)
-	out[2] = clamp01(y2)
-	out[3] = clamp01(y3)
-}
-
-// Eval8 evaluates eight keys per pass (the "AVX(8)" analogue). Like Eval4,
-// the lanes live in named locals: Go's register allocator scalarizes named
-// variables but keeps arrays on the stack, so an array-based formulation
-// spills every lane to memory on each hidden unit and forfeits the batching
-// win the row is meant to measure.
-func (k *Kernel) Eval8(keys *[8]uint32, out *[8]float64) {
-	x0 := float64(keys[0]) * scale
-	x1 := float64(keys[1]) * scale
-	x2 := float64(keys[2]) * scale
-	x3 := float64(keys[3]) * scale
-	x4 := float64(keys[4]) * scale
-	x5 := float64(keys[5]) * scale
-	x6 := float64(keys[6]) * scale
-	x7 := float64(keys[7]) * scale
-	s := &k.s
-	y0, y1, y2, y3 := s.b2, s.b2, s.b2, s.b2
-	y4, y5, y6, y7 := s.b2, s.b2, s.b2, s.b2
-	for u, w := range s.w1 {
-		b := s.b1[u]
-		v := s.w2[u]
-		if z := x0*w + b; z > 0 {
-			y0 += v * z
-		}
-		if z := x1*w + b; z > 0 {
-			y1 += v * z
-		}
-		if z := x2*w + b; z > 0 {
-			y2 += v * z
-		}
-		if z := x3*w + b; z > 0 {
-			y3 += v * z
-		}
-		if z := x4*w + b; z > 0 {
-			y4 += v * z
-		}
-		if z := x5*w + b; z > 0 {
-			y5 += v * z
-		}
-		if z := x6*w + b; z > 0 {
-			y6 += v * z
-		}
-		if z := x7*w + b; z > 0 {
-			y7 += v * z
-		}
-	}
-	out[0] = clamp01(y0)
-	out[1] = clamp01(y1)
-	out[2] = clamp01(y2)
-	out[3] = clamp01(y3)
-	out[4] = clamp01(y4)
-	out[5] = clamp01(y5)
-	out[6] = clamp01(y6)
-	out[7] = clamp01(y7)
-}
-
-// Eval8F32 evaluates eight keys per pass through the single-precision
-// kernel: the AVX2 assembly when useAsm is set and the build/host support
-// it, the bit-identical pure-Go float32 form otherwise. This is the row
-// closest to the paper's AVX measurement — true 8-lane SIMD over float32.
+// Eval8F32 evaluates eight keys through the single-precision batch kernel
+// that serves LookupEntryBatch: the AVX2 assembly (one 8-lane pass) when
+// useAsm is set and the build and host support it, the bit-identical pure-Go
+// form (two 4-lane passes) otherwise. The AVX2 row is the one closest to the
+// paper's AVX measurement.
 func (k *Kernel) Eval8F32(keys *[8]uint32, out *[8]float32, useAsm bool) {
 	var x [8]float32
 	for i := range keys {
 		x[i] = float32(keys[i]) * scale32
 	}
 	k.f32.evalBlock(0, x[:], out[:], useAsm && asmKernelAvailable)
-}
-
-//
-//nm:hotpath
-func clamp01(y float64) float64 {
-	if y < 0 {
-		return 0
-	}
-	if y >= 1 {
-		return clampHi
-	}
-	return y
 }

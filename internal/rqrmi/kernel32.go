@@ -59,11 +59,12 @@ type flatStages32 struct {
 }
 
 // flatten32 packs the staged submodels into the float32 parameter form,
-// stage after stage. It returns nil when the model has no stages, when the
-// hidden width is not uniform, when any parameter is non-finite in float32,
-// or when a submodel's input span collapses under float32 or its reciprocal
-// overflows (all possible only for hand-crafted or corrupted serialized
-// models), in which case batched lookups resolve each key with LookupEntry.
+// stage after stage. It returns nil when the model has no stages, when a
+// stage is wider than maxGroupWidth, when the hidden width is not uniform,
+// when any parameter is non-finite in float32, or when a submodel's input
+// span collapses under float32 or its reciprocal overflows (possible only
+// for hand-crafted or corrupted serialized models), in which case batched
+// lookups resolve each key with LookupEntry.
 // The finiteness requirement lets evalBlockGo skip inactive hidden units
 // (see the note there) while staying bit-identical to the assembly.
 //
@@ -76,6 +77,9 @@ func flatten32(stages [][]submodel) *flatStages32 {
 	total := 0
 	f32 := &flatStages32{h: h, off: make([]int32, len(stages))}
 	for s, st := range stages {
+		if len(st) > maxGroupWidth {
+			return nil
+		}
 		f32.off[s] = int32(total)
 		total += len(st)
 	}

@@ -113,11 +113,13 @@ type Model struct {
 	stages [][]submodel
 	widths []int // widths[i] == len(stages[i])
 
-	entries []Entry
-	// los/his are the inclusive range boundaries of entries, kept in flat
-	// slices for cache-friendly binary search (the paper packs field values
-	// from different rules into the same cache lines, §4).
+	// los/his are the inclusive range boundaries of the entries, sorted by
+	// range start, kept in flat slices for cache-friendly binary search (the
+	// paper packs field values from different rules into the same cache
+	// lines, §4); vals holds their payloads. Entry i is (los[i], his[i],
+	// vals[i]).
 	los, his []uint32
+	vals     []int
 	// errs[j] is the guaranteed worst-case index prediction error of leaf
 	// submodel j over its responsibility, plus the configured safety slack.
 	errs   []int32
@@ -133,10 +135,6 @@ type Model struct {
 	// the batched search detects window overflow and falls back to the
 	// exact scalar path — so it is purely a performance parameter.
 	errs32 []int32
-	// vals mirrors the entry payloads in a flat slice so lookups touch 8
-	// bytes per candidate instead of a 24-byte Entry. SetValue keeps it in
-	// sync.
-	vals []int
 	// coarse is a presence bitmap over the top 16 bits of the key space
 	// (1024 words, 8KB): bit b is set iff some entry's range intersects
 	// bucket b. A key whose bucket bit is clear lies in a gap between
@@ -153,20 +151,16 @@ func (m *Model) coarseHit(key uint32) bool {
 	return m.coarse[b>>6]&(1<<(b&63)) != 0
 }
 
-// finalize precomputes the float32 parameter form, the flat payload array
-// and the coarse bitmap; Train and ReadModel call it once the staged
-// submodels and entries are in place.
+// finalize precomputes the float32 parameter form and the coarse bitmap;
+// Train and ReadModel call it once the staged submodels and entry arrays
+// are in place.
 func (m *Model) finalize() {
 	m.flat32 = flatten32(m.stages)
-	if m.flat32 != nil && len(m.entries) > 0 {
+	if m.flat32 != nil && len(m.los) > 0 {
 		m.revalidateF32()
 	}
-	m.vals = make([]int, len(m.entries))
-	for i := range m.entries {
-		m.vals[i] = m.entries[i].Value
-	}
 	m.coarse = make([]uint64, 1024)
-	for i := range m.entries {
+	for i := range m.los {
 		b0, b1 := m.los[i]>>16, m.his[i]>>16
 		w0, w1 := b0>>6, b1>>6
 		if w0 == w1 {
@@ -200,7 +194,7 @@ func (m *Model) finalize() {
 // carry correctness.
 func (m *Model) revalidateF32() {
 	f := m.flat32
-	n := len(m.entries)
+	n := len(m.los)
 	m.errs32 = make([]int32, len(m.errs))
 	copy(m.errs32, m.errs)
 	probe := func(key uint32, want int32) {
@@ -216,7 +210,7 @@ func (m *Model) revalidateF32() {
 			m.errs32[leaf] = d + 1
 		}
 	}
-	for i := range m.entries {
+	for i := range m.los {
 		lo, hi := m.los[i], m.his[i]
 		probe(lo, int32(i))
 		probe(hi, int32(i))
@@ -226,18 +220,15 @@ func (m *Model) revalidateF32() {
 	}
 }
 
-// Values returns the flat payload array, indexed like Entries. The slice is
-// shared; callers must not modify it directly (use SetValue).
+// Values returns the payload array, indexed by entry position (the
+// positions LookupEntry returns). The slice is shared; callers must not
+// modify it.
 //
 //nm:hotpath
 func (m *Model) Values() []int { return m.vals }
 
 // Len returns the number of indexed ranges.
-func (m *Model) Len() int { return len(m.entries) }
-
-// Entries returns the model's sorted entries. The slice is shared; callers
-// must not modify the ranges (SetValue may rewrite payloads).
-func (m *Model) Entries() []Entry { return m.entries }
+func (m *Model) Len() int { return len(m.los) }
 
 // MaxError returns the largest per-leaf guaranteed search distance.
 func (m *Model) MaxError() int { return int(m.maxErr) }
@@ -271,7 +262,7 @@ func (m *Model) MemoryFootprint() int {
 // ValueArrayBytes returns the byte size of the sorted per-field boundary
 // array scanned by the secondary search plus the payload indices and the
 // coarse gap bitmap.
-func (m *Model) ValueArrayBytes() int { return 12*len(m.entries) + 8*len(m.coarse) }
+func (m *Model) ValueArrayBytes() int { return 12*len(m.los) + 8*len(m.coarse) }
 
 // route runs the staged inference of §3.1: each stage's prediction selects
 // the submodel of the next stage; the leaf predicts the entry index.
@@ -283,7 +274,7 @@ func (m *Model) route(k uint64) (leaf, pred int) {
 	for i := 0; i < last; i++ {
 		j = m.stages[i][j].bucket(k, m.widths[i+1])
 	}
-	return j, m.stages[last][j].bucket(k, len(m.entries))
+	return j, m.stages[last][j].bucket(k, len(m.los))
 }
 
 // Lookup returns the payload of the range containing key; ok is false when
@@ -294,14 +285,14 @@ func (m *Model) Lookup(key uint32) (value int, ok bool) {
 	if !ok {
 		return 0, false
 	}
-	return m.entries[i].Value, true
+	return m.vals[i], true
 }
 
 // LookupEntry is like Lookup but returns the matched entry position.
 //
 //nm:hotpath
 func (m *Model) LookupEntry(key uint32) (index int, ok bool) {
-	if len(m.entries) == 0 || !m.coarseHit(key) {
+	if len(m.los) == 0 || !m.coarseHit(key) {
 		return 0, false // empty, or provably in a gap between ranges
 	}
 	pred, e := m.Predict(key)
@@ -314,9 +305,11 @@ func (m *Model) LookupEntry(key uint32) (index int, ok bool) {
 // on the stack and the keys stay in L1 across stages.
 const BatchChunk = 128
 
-// maxGroupWidth bounds the stage width for which the batched path groups
-// keys by submodel; wider stages (possible only in hand-built serialized
-// models) fall back to scattered per-key evaluation.
+// maxGroupWidth is the widest stage the batched path serves: it groups a
+// chunk's keys by submodel with a counting sort over this many buckets.
+// Table 4's widths stop at 512, so only custom configs or hand-built
+// serialized models go wider; flatten32 gives those no float32 form, and
+// their batched lookups resolve each key with LookupEntry.
 const maxGroupWidth = 512
 
 // LookupEntryBatch resolves a batch of keys at once, writing the matched
@@ -328,13 +321,15 @@ const maxGroupWidth = 512
 // kernels exploit (Table 1). The build and CPU pick the kernel: AVX2
 // assembly on amd64 hosts that have it, the bit-identical pure-Go form
 // otherwise (and under the noasm build tag). A model without a float32 form
-// (only hand-built or corrupted serialized models lack one) resolves each
-// key with LookupEntry. Either way results are bit-identical to LookupEntry.
+// resolves each key with LookupEntry: flatten32 gives none to a model with a
+// stage wider than maxGroupWidth, non-uniform hidden widths or parameters
+// that are not finite in float32 (custom configs, hand-built or corrupted
+// serialized models). Either way results are bit-identical to LookupEntry.
 // out must have at least len(keys) entries.
 //
 //nm:hotpath
 func (m *Model) LookupEntryBatch(keys []uint32, out []int32) {
-	if m.flat32 != nil && len(m.entries) > 0 {
+	if m.flat32 != nil && len(m.los) > 0 {
 		m.lookupEntryBatchF32(keys, out, asmKernelAvailable)
 		return
 	}
@@ -347,16 +342,6 @@ func (m *Model) LookupEntryBatch(keys []uint32, out []int32) {
 	}
 }
 
-// SetValue rewrites the payload at entry position i, keeping the flat
-// payload mirror in sync. Not safe against concurrent lookups; NuevoMatch's
-// snapshot engine tracks liveness outside the model instead.
-func (m *Model) SetValue(i, value int) {
-	m.entries[i].Value = value
-	if m.vals != nil {
-		m.vals[i] = value
-	}
-}
-
 // Predict runs only the model inference: the staged routing plus the leaf's
 // index prediction and its guaranteed error bound. Together with Search it
 // splits Lookup into its two phases so callers can profile them separately
@@ -364,7 +349,7 @@ func (m *Model) SetValue(i, value int) {
 //
 //nm:hotpath
 func (m *Model) Predict(key uint32) (pred, errBound int) {
-	if len(m.entries) == 0 {
+	if len(m.los) == 0 {
 		return 0, 0
 	}
 	leaf, pred := m.route(uint64(key))
@@ -376,14 +361,14 @@ func (m *Model) Predict(key uint32) (pred, errBound int) {
 //
 //nm:hotpath
 func (m *Model) Search(key uint32, pred, errBound int) (index int, ok bool) {
-	if len(m.entries) == 0 {
+	if len(m.los) == 0 {
 		return 0, false
 	}
 	lo, hi := pred-errBound, pred+errBound
 	if lo < 0 {
 		lo = 0
 	}
-	if n := len(m.entries) - 1; hi > n {
+	if n := len(m.los) - 1; hi > n {
 		hi = n
 	}
 	for lo < hi {

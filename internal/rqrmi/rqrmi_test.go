@@ -280,18 +280,6 @@ func TestErrorBoundIsRespected(t *testing.T) {
 	}
 }
 
-func TestSetValue(t *testing.T) {
-	es := []Entry{{Range: rules.Range{Lo: 5, Hi: 9}, Value: 1}}
-	m, _, err := Train(es, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetValue(0, -7)
-	if v, ok := m.Lookup(7); !ok || v != -7 {
-		t.Errorf("Lookup after SetValue = (%d, %v), want (-7, true)", v, ok)
-	}
-}
-
 // TestDeterministicTraining trains the same entries twice — with different
 // worker counts and seeds, neither of which may matter — and requires
 // identical submodels and bounds.

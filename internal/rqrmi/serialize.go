@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"nuevomatch/internal/rules"
 )
 
 // Binary model serialization. Training is the expensive step — the direct
@@ -98,17 +96,17 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 			}
 		}
 	}
-	if err := write(uint32(len(m.entries))); err != nil {
+	if err := write(uint32(len(m.los))); err != nil {
 		return cw.n, err
 	}
-	for _, e := range m.entries {
-		if err := write(e.Range.Lo); err != nil {
+	for i := range m.los {
+		if err := write(m.los[i]); err != nil {
 			return cw.n, err
 		}
-		if err := write(e.Range.Hi); err != nil {
+		if err := write(m.his[i]); err != nil {
 			return cw.n, err
 		}
-		if err := write(int64(e.Value)); err != nil {
+		if err := write(int64(m.vals[i])); err != nil {
 			return cw.n, err
 		}
 	}
@@ -225,9 +223,9 @@ func ReadModel(r io.Reader) (*Model, error) {
 	if initial > 1<<16 {
 		initial = 1 << 16
 	}
-	m.entries = make([]Entry, 0, initial)
 	m.los = make([]uint32, 0, initial)
 	m.his = make([]uint32, 0, initial)
+	m.vals = make([]int, 0, initial)
 	for i := 0; i < int(nEntries); i++ {
 		var lo, hi uint32
 		var val int64
@@ -246,9 +244,9 @@ func ReadModel(r io.Reader) (*Model, error) {
 		if i > 0 && m.his[i-1] >= lo {
 			return nil, fmt.Errorf("rqrmi: entries %d and %d overlap", i-1, i)
 		}
-		m.entries = append(m.entries, Entry{Range: rules.Range{Lo: lo, Hi: hi}, Value: int(val)})
 		m.los = append(m.los, lo)
 		m.his = append(m.his, hi)
+		m.vals = append(m.vals, int(val))
 	}
 	if nStages > 0 {
 		m.errs = make([]int32, m.widths[nStages-1])

@@ -75,9 +75,8 @@ func TestSerializeVersionSelection(t *testing.T) {
 			w1: []float64{1.0 / 3}, b1: []float64{0}, w2: []float64{1},
 			b2: 0, inLo: 0, inSpan: 1,
 		}}},
-		widths:  []int{1},
-		entries: []Entry{{Range: rules.Range{Lo: 10, Hi: 20}, Value: 7}},
-		los:     []uint32{10}, his: []uint32{20},
+		widths: []int{1},
+		los:    []uint32{10}, his: []uint32{20}, vals: []int{7},
 		errs: []int32{1}, maxErr: 1,
 	}
 	legacy.finalize()

@@ -39,12 +39,9 @@ func Train(entries []Entry, cfg Config) (*Model, *TrainStats, error) {
 		return nil, nil, fmt.Errorf("rqrmi: first stage width must be 1, got %d", cfg.StageWidths[0])
 	}
 
-	m := &Model{entries: es}
-	m.los = make([]uint32, len(es))
-	m.his = make([]uint32, len(es))
+	m := &Model{los: make([]uint32, len(es)), his: make([]uint32, len(es)), vals: make([]int, len(es))}
 	for i := range es {
-		m.los[i] = es[i].Range.Lo
-		m.his[i] = es[i].Range.Hi
+		m.los[i], m.his[i], m.vals[i] = es[i].Range.Lo, es[i].Range.Hi, es[i].Value
 	}
 	if len(es) == 0 {
 		m.widths = []int{}
@@ -135,7 +132,7 @@ type trainer struct {
 // Theorem A.13 over the float32-rounded weights, plus the safety slack. For
 // internal submodels errBound is 0.
 func (t *trainer) fitSubmodel(resp []kinterval, isLeaf bool) (sub submodel, errBound int32) {
-	n := len(t.model.entries)
+	n := len(t.model.los)
 	h, ok := hull(resp)
 	if !ok {
 		// Unreachable submodel: no input routes here. Keep a constant
@@ -182,7 +179,7 @@ func (t *trainer) constant(idx int, inLo, inSpan float64) submodel {
 	h := t.cfg.Hidden
 	sub := submodel{
 		w1: make([]float64, h), b1: make([]float64, h), w2: make([]float64, h),
-		b2:   (float64(idx) + 0.5) / float64(max(len(t.model.entries), 1)),
+		b2:   (float64(idx) + 0.5) / float64(max(len(t.model.los), 1)),
 		inLo: inLo, inSpan: inSpan,
 	}
 	sub.roundParamsF32()
